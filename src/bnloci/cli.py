@@ -413,6 +413,8 @@ def _excluded_markers(g: int) -> list[tuple[Fraction, Fraction, str]]:
 
 
 def _bpn_samples(g: int, step: Fraction) -> list[tuple[Fraction, Fraction]]:
+    if step <= 0:
+        raise ValueError(f"step must be positive, got {step}")
     samples = []
     mu = Fraction(0)
     while mu <= 2 * g - 2:
@@ -498,6 +500,8 @@ def _svg_document(g: int, samples_per_unit: int, step: Fraction) -> str:
 
 def _cmd_plot(args: argparse.Namespace) -> tuple[str, bool]:
     g = args.genus
+    if g < 2:
+        raise ValueError(f"genus must be >= 2, got {g}")
     if args.format == "csv":
         rows: list[list[Any]] = []
         for name in ("T", "BMNO", "Clifford", "BNCurve"):

@@ -2,10 +2,18 @@
 
 Decisions are tri-state (Nonempty / Empty / Unknown) and carry
 certificates: the name of the rule applied, the instantiated parameters,
-and the premise inequalities with their truth values.  Premises are
-produced by per-rule builders that are also used by the verifier, so a
-stored certificate can always be re-derived and re-checked from its
-parameters alone.
+and the premise inequalities with their truth values.
+
+Each rule has one judge: a function of the certificate parameters alone
+that returns the rule's premises together with its conclusion (a status
+and a scope), or None when the rule does not apply.  The ordered table
+RULES holds the rules for untwisted problems: decide_untwisted walks it,
+its Serre-dual row walks the dual-eligible rows on the reflected problem,
+and small_slope_decide reads its small-slope rows.  The universal search
+calls the construction judges directly.  The verifier calls the same
+judges on stored parameters, so a stored certificate re-derives its
+premises and its conclusion, and a decision must state exactly what its
+certificates conclude.
 
 Unknown is an honest output: several of the underlying statements are
 one-directional, and the rank > 1 existence problem is open in general.
@@ -16,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 from .bncore import (
     BNProblem,
@@ -97,54 +105,87 @@ KNOWN_EMPTY_TABLE: dict[tuple[int, int, int, int], StabilityKind] = {
     (3, 2, 6, 4): StabilityKind.STABLE,
 }
 
-PremiseBuilder = Callable[[dict], list[Premise]]
-_BUILDERS: dict[str, PremiseBuilder] = {}
+Conclusion = tuple[Status, Scope]
+_NONEMPTY: Conclusion = (Status.NONEMPTY, Scope.THIS_RANK)
+_EMPTY: Conclusion = (Status.EMPTY, Scope.THIS_RANK)
 
 
-def premise_builder(rule: str) -> Callable[[PremiseBuilder], PremiseBuilder]:
-    def register(fn: PremiseBuilder) -> PremiseBuilder:
-        _BUILDERS[rule] = fn
-        return fn
-    return register
+class Verdict(NamedTuple):
+    """What a rule's judge finds at one set of certificate parameters."""
+
+    premises: tuple[Premise, ...]
+    # None for the wrappers, which conclude what their inner certificates do
+    conclusion: Optional[Conclusion]
+    # the certificates the rule relies on, stored under params["inner"]
+    nested: tuple[Certificate, ...] = ()
 
 
-def make_certificate(rule: str, params: dict) -> Certificate:
-    return Certificate(rule, params, tuple(_BUILDERS[rule](params)))
+def _holds(premises: list[Premise]) -> bool:
+    return all(p.holds for p in premises)
 
 
-def _iter_nested_certificates(value: Any) -> Iterator[Certificate]:
-    if isinstance(value, Certificate):
-        yield value
-    elif isinstance(value, dict):
-        for v in value.values():
-            yield from _iter_nested_certificates(v)
-    elif isinstance(value, (list, tuple)):
-        for v in value:
-            yield from _iter_nested_certificates(v)
+def _verdict(premises: list[Premise], conclusion: Optional[Conclusion],
+             nested: Any = ()) -> Optional[Verdict]:
+    if not _holds(premises):
+        return None
+    return Verdict(tuple(premises), conclusion, tuple(nested))
+
+
+def _summary(conclusions: list[Conclusion]) -> Optional[Conclusion]:
+    """Joint conclusion of several certificates; None when they disagree.
+
+    No certificate at all concludes Unknown (at this rank); otherwise the
+    scope is ThisRank as soon as one certificate grants it.
+    """
+    statuses = {status for status, _ in conclusions}
+    if len(statuses) > 1:
+        return None
+    if not statuses:
+        return Status.UNKNOWN, Scope.THIS_RANK
+    this_rank = any(scope is Scope.THIS_RANK for _, scope in conclusions)
+    return statuses.pop(), (Scope.THIS_RANK if this_rank
+                            else Scope.SOME_RANK_SAME_SLOPE_POINT)
+
+
+def _conclusion(cert: Certificate) -> Optional[Conclusion]:
+    """What a certificate concludes, or None unless it re-checks.
+
+    The judge of its rule must rebuild the stored premises exactly, with
+    every premise holding, and the nested certificates must be the ones
+    the rule relies on and must re-check in turn.
+    """
+    judge = _JUDGES.get(cert.rule) if isinstance(cert, Certificate) else None
+    if judge is None:
+        return None
+    try:
+        verdict = judge(cert.params)
+        if (verdict is None or verdict.premises != cert.premises
+                or list(verdict.nested) != cert.params.get("inner", [])):
+            return None
+    except Exception:
+        return None
+    nested = [_conclusion(c) for c in verdict.nested]
+    if None in nested:
+        return None
+    return verdict.conclusion or _summary(nested)
 
 
 def verify_certificate(cert: Certificate) -> bool:
-    """Re-derive the premises from the stored parameters and re-check them.
-
-    A certificate passes when the rebuilt premise list matches the stored
-    one exactly, every premise holds, and all nested certificates pass.
-    """
-    builder = _BUILDERS.get(cert.rule)
-    if builder is None:
-        return False
-    try:
-        rebuilt = tuple(builder(cert.params))
-    except Exception:
-        return False
-    if rebuilt != cert.premises or not all(p.holds for p in rebuilt):
-        return False
-    return all(verify_certificate(c) for c in _iter_nested_certificates(cert.params))
+    """Re-derive the premises and the conclusion from the stored parameters."""
+    return _conclusion(cert) is not None
 
 
 def verify_decision(decision: Decision) -> bool:
-    if decision.status is Status.NONEMPTY and not decision.certificates:
-        return False
-    return all(verify_certificate(c) for c in decision.certificates)
+    """Re-check every certificate and the claim built on them.
+
+    The status and scope must be the joint conclusion of the
+    certificates: a Nonempty or Empty decision needs at least one
+    certificate, all of them concluding its status, and its scope is
+    ThisRank exactly when one of them concludes ThisRank.
+    """
+    conclusions = [_conclusion(c) for c in decision.certificates]
+    return (None not in conclusions
+            and _summary(conclusions) == (decision.status, decision.scope))
 
 
 def resolves_hyperelliptic(cc: CurveClass, g: int) -> bool:
@@ -168,116 +209,107 @@ def check_curve_class(g: int, cc: CurveClass) -> None:
         raise ValueError("every smooth curve of genus 2 is hyperelliptic")
 
 
-def _problem_params(p: BNProblem) -> dict:
-    return {"g": p.g, "n": p.n, "d": p.d, "k": p.k}
+def _problem_params(p: BNProblem, **extra: str) -> dict:
+    return {"g": p.g, "n": p.n, "d": p.d, "k": p.k, **extra}
 
 
 def _universal_params(p: UniversalProblem) -> dict:
     return {"g": p.g, "n1": p.n1, "d1": p.d1, "n2": p.n2, "d2": p.d2, "k": p.k}
 
 
+def _certified_here(p: BNProblem, cc: CurveClass,
+                    kind: StabilityKind) -> Optional[tuple[Certificate, ...]]:
+    """The certificates of p's decision when it is Nonempty at this rank."""
+    dec = decide_untwisted(p, cc, kind)
+    if dec.status is Status.NONEMPTY and dec.scope is Scope.THIS_RANK:
+        return dec.certificates
+    return None
+
+
 # ---------------------------------------------------------------------------
-# premise builders (single source for emission and verification)
+# judges: one per rule, from the certificate parameters alone; a judge may
+# return None before formatting its premises once one of them fails
 
 
-@premise_builder(RULE_TRIVIAL)
-def _build_trivial(params: dict) -> list[Premise]:
+def _trivial(params: dict) -> Optional[Verdict]:
     k = params["k"]
-    return [Premise(f"k = {k} <= 0 (no sections demanded; whole space qualifies)", k <= 0)]
+    return _verdict([Premise(f"k = {k} <= 0 (no sections demanded; whole space "
+                             "qualifies)", k <= 0)], _NONEMPTY)
 
 
-@premise_builder(RULE_PETRI)
-def _build_petri(params: dict) -> list[Premise]:
+def _petri(params: dict) -> Optional[Verdict]:
     g, n, d, k = params["g"], params["n"], params["d"], params["k"]
     cc = CurveClass(params["cc"])
     beta = beta_untwisted(g, 1, d, k)
-    out = [
+    prem = [
         Premise(f"rank n = {n} is 1", n == 1),
         Premise("curve class supports the classical dichotomy (petri or general)",
                 cc in (CurveClass.PETRI, CurveClass.GENERAL)),
     ]
     if beta >= 0:
-        out.append(Premise(f"beta(1, {d}, {k}) = {beta} >= 0", True))
-    else:
-        out.append(Premise(f"beta(1, {d}, {k}) = {beta} < 0 (locus empty)", True))
-    return out
+        prem.append(Premise(f"beta(1, {d}, {k}) = {beta} >= 0", True))
+        return _verdict(prem, _NONEMPTY)
+    prem.append(Premise(f"beta(1, {d}, {k}) = {beta} < 0 (locus empty)", True))
+    return _verdict(prem, _EMPTY)
 
 
-def _small_slope_interior(g: int, n: int, d: int, k: int,
-                          kind: StabilityKind) -> tuple[Status, list[Premise]]:
-    thr = n + g * (k - n)
-    prem = [
-        Premise(f"n = {n} >= 2", n >= 2),
-        Premise(f"0 < d = {d} < 2n = {2 * n}", 0 < d < 2 * n),
-    ]
-    if kind is StabilityKind.STABLE and (d, k) == (n, n):
-        prem.append(Premise(
-            f"(d, k) = ({d}, {k}) = (n, n): trivially-shaped stable locus is empty", True))
-        return Status.EMPTY, prem
-    if d >= thr:
-        prem.append(Premise(f"d = {d} >= n + g*(k - n) = {thr}", True))
-        if kind is StabilityKind.STABLE:
-            prem.append(Premise(f"(d, k) = ({d}, {k}) != (n, n)", True))
-        return Status.NONEMPTY, prem
-    prem.append(Premise(f"d = {d} < n + g*(k - n) = {thr} (locus empty)", True))
-    return Status.EMPTY, prem
-
-
-@premise_builder(RULE_SMALL_SLOPE)
-def _build_small_slope(params: dict) -> list[Premise]:
+def _small_slope(params: dict) -> Optional[Verdict]:
     g, n, d, k = params["g"], params["n"], params["d"], params["k"]
     kind = StabilityKind(params["kind"])
     route = params["route"]
+    thr = n + g * (k - n)
+    canonical = (n, d, k) == (g - 1, 2 * g - 2, g)
+    prem = [Premise(f"n = {n} >= 2", n >= 2)]
     if route == "interior":
-        return _small_slope_interior(g, n, d, k, kind)[1]
-    if route == "slope-two":
-        thr = n + g * (k - n)
-        cc = CurveClass(params["cc"])
-        prem = [
-            Premise(f"n = {n} >= 2", n >= 2),
-            Premise(f"d = {d} == 2n", d == 2 * n),
-            Premise("curve class implies non-hyperelliptic",
-                    implies_nonhyperelliptic(cc, g)),
-        ]
+        prem.append(Premise(f"0 < d = {d} < 2n = {2 * n}", 0 < d < 2 * n))
+        if kind is StabilityKind.STABLE and (d, k) == (n, n):
+            prem.append(Premise(f"(d, k) = ({d}, {k}) = (n, n): trivially-shaped "
+                                "stable locus is empty", True))
+            return _verdict(prem, _EMPTY)
         if d >= thr:
             prem.append(Premise(f"d = {d} >= n + g*(k - n) = {thr}", True))
-        else:
-            prem.append(Premise(f"d = {d} < n + g*(k - n) = {thr}", True))
-            prem.append(Premise(
-                f"(n, d, k) = ({n}, {d}, {k}) != (g-1, 2g-2, g) (no canonical span)",
-                (n, d, k) != (g - 1, 2 * g - 2, g)))
-        return prem
+            if kind is StabilityKind.STABLE:
+                prem.append(Premise(f"(d, k) = ({d}, {k}) != (n, n)", True))
+            return _verdict(prem, _NONEMPTY)
+        prem.append(Premise(f"d = {d} < n + g*(k - n) = {thr} (locus empty)", True))
+        return _verdict(prem, _EMPTY)
+    prem.append(Premise(f"d = {d} == 2n", d == 2 * n))
+    if route == "slope-two":
+        prem.append(Premise("curve class implies non-hyperelliptic",
+                            implies_nonhyperelliptic(CurveClass(params["cc"]), g)))
+        if d >= thr:
+            prem.append(Premise(f"d = {d} >= n + g*(k - n) = {thr}", True))
+            return _verdict(prem, _NONEMPTY)
+        prem.append(Premise(f"d = {d} < n + g*(k - n) = {thr}", True))
+        prem.append(Premise(f"(n, d, k) = ({n}, {d}, {k}) != (g-1, 2g-2, g) "
+                            "(no canonical span)", not canonical))
+        return _verdict(prem, _EMPTY)
     if route == "slope-two-agreement":
         hyper = Status.NONEMPTY if k <= n else Status.EMPTY
-        thr = n + g * (k - n)
-        nonhyp = Status.NONEMPTY if (d >= thr or (n, d, k) == (g - 1, 2 * g - 2, g)) else Status.EMPTY
-        prem = [
-            Premise(f"n = {n} >= 2", n >= 2),
-            Premise(f"d = {d} == 2n", d == 2 * n),
+        nonhyp = Status.NONEMPTY if d >= thr or canonical else Status.EMPTY
+        prem += [
             Premise(f"hyperelliptic-case answer is {hyper.value}", True),
             Premise(f"non-hyperelliptic-case answer is {nonhyp.value}", True),
             Premise("the two answers agree, so the curve type is irrelevant",
                     hyper is nonhyp),
         ]
-        return prem
+        return _verdict(prem, (hyper, Scope.THIS_RANK))
     raise ValueError(f"unknown small-slope route {route!r}")
 
 
-@premise_builder(RULE_CANONICAL)
-def _build_canonical(params: dict) -> list[Premise]:
+def _canonical(params: dict) -> Optional[Verdict]:
     g, n, d, k = params["g"], params["n"], params["d"], params["k"]
     cc = CurveClass(params["cc"])
-    return [
+    return _verdict([
         Premise(f"(n, d, k) = ({n}, {d}, {k}) == (g-1, 2g-2, g) = "
                 f"({g - 1}, {2 * g - 2}, {g})",
                 (n, d, k) == (g - 1, 2 * g - 2, g)),
         Premise("curve class implies non-hyperelliptic",
                 implies_nonhyperelliptic(cc, g)),
-    ]
+    ], _NONEMPTY)
 
 
-@premise_builder(RULE_HYPERELLIPTIC)
-def _build_hyperelliptic(params: dict) -> list[Premise]:
+def _hyperelliptic(params: dict) -> Optional[Verdict]:
     g, n, d, k = params["g"], params["n"], params["d"], params["k"]
     cc = CurveClass(params["cc"])
     prem = [
@@ -287,17 +319,18 @@ def _build_hyperelliptic(params: dict) -> list[Premise]:
     ]
     if k <= n:
         prem.append(Premise(f"k = {k} <= n = {n}", True))
-    else:
-        prem.append(Premise(f"k = {k} > n = {n} (locus empty)", True))
-    return prem
+        return _verdict(prem, _NONEMPTY)
+    prem.append(Premise(f"k = {k} > n = {n} (locus empty)", True))
+    return _verdict(prem, _EMPTY)
 
 
-@premise_builder(RULE_REGION_T)
-def _build_region_t(params: dict) -> list[Premise]:
+def _region_t(params: dict) -> Optional[Verdict]:
     g, n, d, k = params["g"], params["n"], params["d"], params["k"]
     kind = StabilityKind(params["kind"])
     mu, lam = Fraction(d, n), Fraction(k, n)
     v = membership_T(g, mu, lam, kind)
+    if not v.inside or v.excluded_for_stable:
+        return None
     prem = [
         Premise(f"({mu}, {lam}) lies in the staircase region (0 <= mu <= {2 * g - 2}, "
                 f"0 < lam <= t_g(mu))", v.inside),
@@ -305,63 +338,60 @@ def _build_region_t(params: dict) -> list[Premise]:
     ]
     if kind is StabilityKind.STABLE:
         prem.append(Premise("point is not stable-excluded", not v.excluded_for_stable))
-    return prem
+    return _verdict(prem, _NONEMPTY)
 
 
-@premise_builder(RULE_REGION_BMNO)
-def _build_region_bmno(params: dict) -> list[Premise]:
+def _region_bmno(params: dict) -> Optional[Verdict]:
     g, n, d, k = params["g"], params["n"], params["d"], params["k"]
     kind = StabilityKind(params["kind"])
-    cc = CurveClass(params["cc"])
+    stable = kind is StabilityKind.STABLE
+    nonhyp = implies_nonhyperelliptic(CurveClass(params["cc"]), g)
+    if stable and not nonhyp:
+        return None
     mu, lam = Fraction(d, n), Fraction(k, n)
     v = membership_BMNO(g, mu, lam, kind)
+    if not v.inside or v.excluded_for_stable:
+        return None
     prem = [
         Premise(f"({mu}, {lam}) lies in the sawtooth region (0 <= mu <= {2 * g - 2}, "
                 f"0 < lam <= f_g(mu))", v.inside),
     ]
-    if kind is StabilityKind.STABLE:
+    if stable:
         prem.append(Premise("point is not stable-excluded", not v.excluded_for_stable))
-        prem.append(Premise("curve class implies non-hyperelliptic",
-                            implies_nonhyperelliptic(cc, g)))
-    return prem
+        prem.append(Premise("curve class implies non-hyperelliptic", nonhyp))
+    return _verdict(prem, (Status.NONEMPTY, Scope.SOME_RANK_SAME_SLOPE_POINT))
 
 
-@premise_builder(RULE_KNOWN_EMPTY)
-def _build_known_empty(params: dict) -> list[Premise]:
+def _known_empty(params: dict) -> Optional[Verdict]:
     g, n, d, k = params["g"], params["n"], params["d"], params["k"]
     kind = StabilityKind(params["kind"])
     entry = KNOWN_EMPTY_TABLE.get((g, n, d, k))
-    holds = entry is not None and (entry is kind or kind is StabilityKind.STABLE
-                                   and entry is StabilityKind.STABLE)
-    return [Premise(f"({g}, {n}, {d}, {k}) with kind {kind.value} is in the "
-                    "known-empty table", holds)]
+    # an empty semistable locus has an empty stable sublocus, not conversely
+    holds = entry is not None and (entry is StabilityKind.SEMISTABLE
+                                   or kind is StabilityKind.STABLE)
+    return _verdict([Premise(f"({g}, {n}, {d}, {k}) with kind {kind.value} is in the "
+                             "known-empty table", holds)], _EMPTY)
 
 
-@premise_builder(RULE_SERRE_DUAL_OF)
-def _build_serre_dual_of(params: dict) -> list[Premise]:
+def _serre_dual_of(params: dict) -> Optional[Verdict]:
     prob, dual = params["problem"], params["dual"]
     if "n1" in prob:
-        p = UniversalProblem(**prob)
-        q = universal_serre_dual(p)
-        expect = _universal_params(q)
+        expect = _universal_params(universal_serre_dual(UniversalProblem(**prob)))
     else:
-        p = BNProblem(**prob)
-        q = serre_dual_problem(p)
-        expect = _problem_params(q)
-    return [Premise(f"dual data {dual} matches the Serre reflection of {prob}",
-                    expect == dual)]
+        expect = _problem_params(serre_dual_problem(BNProblem(**prob)))
+    return _verdict([Premise(f"dual data {dual} matches the Serre reflection of {prob}",
+                             expect == dual)], None, params["inner"])
 
 
-@premise_builder(RULE_SWAPPED_OF)
-def _build_swapped_of(params: dict) -> list[Premise]:
+def _swapped_of(params: dict) -> Optional[Verdict]:
     prob, swapped = params["problem"], params["swapped"]
     q = swap_factors(UniversalProblem(**prob))
-    return [Premise(f"swapped data {swapped} matches the factor exchange of {prob}",
-                    _universal_params(q) == swapped)]
+    return _verdict([Premise(f"swapped data {swapped} matches the factor exchange "
+                             f"of {prob}", _universal_params(q) == swapped)],
+                    None, params["inner"])
 
 
-@premise_builder(RULE_LINE_REDUCTION)
-def _build_line_reduction(params: dict) -> list[Premise]:
+def _line_reduction(params: dict) -> Optional[Verdict]:
     prob, reduced = params["problem"], params["reduced"]
     p = UniversalProblem(**prob)
     prem = [Premise(f"one moving factor has rank one ({p.n1}, {p.n2})",
@@ -373,24 +403,22 @@ def _build_line_reduction(params: dict) -> list[Premise]:
     prem.append(Premise(
         f"reduced untwisted data {reduced} matches the line-bundle twist {expect}",
         expect == reduced))
-    return prem
+    return _verdict(prem, None, params["inner"])
 
 
-@premise_builder(RULE_TWISTED_SCALING)
-def _build_twisted_scaling(params: dict) -> list[Premise]:
+def _twisted_scaling(params: dict) -> Optional[Verdict]:
     g, n1, d1, k = params["g"], params["n1"], params["d1"], params["k"]
     n2, d2, d0, k0 = params["n2"], params["d2"], params["d0"], params["k0"]
     variant = params["variant"]
-    kind = StabilityKind(params["kind"])
-    stable = kind is StabilityKind.STABLE
+    stable = StabilityKind(params["kind"]) is StabilityKind.STABLE
     b0 = beta_twisted(g, 1, d0, k0, n2, d2)
+    step = n1 * d0 + (1 if stable else 0)
     prem = [
         Premise(f"n1 = {n1} >= 2", n1 >= 2),
         Premise(f"rank-one seed count beta(1, {d0}, {k0}) against the fixed "
                 f"({n2}, {d2}) is {b0} >= 1", b0 >= 1),
     ]
     if variant == "direct":
-        step = n1 * d0 + (1 if stable else 0)
         b_tw = beta_twisted(g, n1, d1, k, n2, d2)
         b_un = beta_universal(g, n1, d1, n2, d2, k)
         prem.append(Premise(f"k = {k} <= n1*k0 = {n1 * k0}", k <= n1 * k0))
@@ -399,9 +427,7 @@ def _build_twisted_scaling(params: dict) -> list[Premise]:
                             d1 >= step))
     elif variant == "serre":
         d2_dual = 2 * n2 * (g - 1) - d2
-        chi = chi_pairing(g, n1, d1, n2, d2_dual)
-        k1 = k - chi
-        step = n1 * d0 + (1 if stable else 0)
+        k1 = k - chi_pairing(g, n1, d1, n2, d2_dual)
         b_tw = n1 * n1 * (g - 1) + 1 - k * k1
         b_un = beta_universal(g, n1, d1, n2, d2_dual, k)
         prem.append(Premise(f"dual section count k1 = k - chi = {k1} <= n1*k0 = "
@@ -416,11 +442,10 @@ def _build_twisted_scaling(params: dict) -> list[Premise]:
     else:
         prem.append(Premise(f"guarantee: twisted count {b_tw} >= 1", b_tw >= 1))
         prem.append(Premise(f"guarantee: universal count {b_un} >= {bound}", b_un >= bound))
-    return prem
+    return _verdict(prem, _NONEMPTY)
 
 
-@premise_builder(RULE_PRODUCT)
-def _build_product(params: dict) -> list[Premise]:
+def _product(params: dict) -> Optional[Verdict]:
     g = params["g"]
     kind = StabilityKind(params["kind"])
     cc = CurveClass(params["cc"])
@@ -428,7 +453,6 @@ def _build_product(params: dict) -> list[Premise]:
     n1, d1, n2, d2 = pair["n1"], pair["d1"], pair["n2"], pair["d2"]
     ell, k, k1, k2 = params["ell"], params["k"], params["k1"], params["k2"]
     d1s, d2s = d1 - n1 * ell, d2 + n2 * ell
-    window = params["window"]
     prem = [
         Premise(f"shifted pair ((n1, {d1s}), (n2, {d2s})) from ell = {ell}",
                 (d1s, d2s) == (params["d1_shifted"], params["d2_shifted"])),
@@ -437,7 +461,7 @@ def _build_product(params: dict) -> list[Premise]:
         Premise(f"factor degrees {d1s}, {d2s} and section counts {k1}, {k2} "
                 "all >= 1", d1s >= 1 and d2s >= 1 and k1 >= 1 and k2 >= 1),
     ]
-    if window == "standard":
+    if params["window"] == "standard":
         prem.append(Premise(f"slope window: d1' = {d1s} < 2*n1 = {2 * n1}",
                             d1s < 2 * n1))
         prem.append(Premise(f"slope window: d2' = {d2s} <= 2*g*n2 = {2 * g * n2}",
@@ -449,25 +473,25 @@ def _build_product(params: dict) -> list[Premise]:
                             d2s < 2 * g * n2))
         prem.append(Premise("relaxed window requires non-hyperelliptic",
                             implies_nonhyperelliptic(cc, g)))
-    f1 = decide_untwisted(BNProblem(g, n1, d1s, k1), cc, kind)
-    f2 = decide_untwisted(BNProblem(g, n2, d2s, k2), cc, kind)
-    ok1 = f1.status is Status.NONEMPTY and f1.scope is Scope.THIS_RANK
-    ok2 = f2.status is Status.NONEMPTY and f2.scope is Scope.THIS_RANK
-    prem.append(Premise(f"first factor ({n1}, {d1s}, {k1}) certified nonempty "
-                        "at this rank", ok1))
-    prem.append(Premise(f"second factor ({n2}, {d2s}, {k2}) certified nonempty "
-                        "at this rank", ok2))
-    bu = beta_universal(g, n1, d1, n2, d2, k)
-    bt_pair = params["beta_tensor"]
-    prem.append(Premise(f"universal count {params['beta_universal']} "
-                        "matches recomputation", bu == params["beta_universal"]))
-    prem.append(Premise(f"tensor count {bt_pair} matches recomputation",
-                        beta_tensor(g, n1, d1, n2, d2, k) == bt_pair))
-    return prem
+    if not _holds(prem):
+        return None
+    nested: list[Certificate] = []
+    for which, n, ds, ks in (("first", n1, d1s, k1), ("second", n2, d2s, k2)):
+        certs = _certified_here(BNProblem(g, n, ds, ks), cc, kind)
+        if certs is None:
+            return None
+        prem.append(Premise(f"{which} factor ({n}, {ds}, {ks}) certified nonempty "
+                            "at this rank", True))
+        nested += certs
+    bu, bt = params["beta_universal"], params["beta_tensor"]
+    prem.append(Premise(f"universal count {bu} matches recomputation",
+                        beta_universal(g, n1, d1, n2, d2, k) == bu))
+    prem.append(Premise(f"tensor count {bt} matches recomputation",
+                        beta_tensor(g, n1, d1, n2, d2, k) == bt))
+    return _verdict(prem, _NONEMPTY, nested)
 
 
-@premise_builder(RULE_KERNEL)
-def _build_kernel(params: dict) -> list[Premise]:
+def _kernel(params: dict) -> Optional[Verdict]:
     g = params["g"]
     kind = StabilityKind(params["kind"])
     cc = CurveClass(params["cc"])
@@ -492,14 +516,128 @@ def _build_kernel(params: dict) -> list[Premise]:
     prem.append(Premise(f"section budget k_max = {k_max} matches "
                         f"(d - n(g-1))(k1 - n1) - n*d1", k_max == params["k_max"]))
     prem.append(Premise(f"0 < k = {k} <= k_max = {k_max}", 0 < k <= k_max))
-    base = decide_untwisted(BNProblem(g, n1, d1, k1), cc, kind)
+    if not _holds(prem):
+        return None
+    base = _certified_here(BNProblem(g, n1, d1, k1), cc, kind)
+    if base is None:
+        return None
     prem.append(Premise(f"base locus ({n1}, {d1}, {k1}) certified nonempty at "
-                        "this rank", base.status is Status.NONEMPTY
-                        and base.scope is Scope.THIS_RANK))
-    prem.append(Premise(f"universal count {params['beta_universal']} matches "
-                        "recomputation",
-                        beta_universal(g, n1, d1, n2, d2, k) == params["beta_universal"]))
-    return prem
+                        "this rank", True))
+    bu = params["beta_universal"]
+    prem.append(Premise(f"universal count {bu} matches recomputation",
+                        beta_universal(g, n1, d1, n2, d2, k) == bu))
+    return _verdict(prem, _NONEMPTY, base)
+
+
+# ---------------------------------------------------------------------------
+# the rule table
+
+Found = tuple[Conclusion, Certificate]
+Instantiate = Callable[[BNProblem, CurveClass, StabilityKind], Optional[dict]]
+
+
+class Rule(NamedTuple):
+    name: str
+    judge: Callable[[dict], Optional[Verdict]]
+    # the parameters tried for an untwisted problem, None where the rule is
+    # not tried; only the Serre-dual row, which overrides apply, has none
+    instantiate: Optional[Instantiate] = None
+    # also tried on the Serre dual of an untwisted problem
+    dual: bool = False
+    # states the stable locus: for a semistable problem only its Nonempty
+    # carries over, since stable bundles are semistable
+    stable: bool = False
+
+    def apply(self, p: BNProblem, cc: CurveClass, kind: StabilityKind) -> Optional[Found]:
+        params = self.instantiate(p, cc, kind)
+        verdict = None if params is None else self.judge(params)
+        if verdict is None or (self.stable and kind is not StabilityKind.STABLE
+                               and verdict.conclusion[0] is not Status.NONEMPTY):
+            return None
+        return verdict.conclusion, Certificate(self.name, params, verdict.premises)
+
+
+class _SerreDualRule(Rule):
+    """The first dual-eligible rule that applies to the Serre dual problem,
+    wrapped; the wrapper concludes what that rule concludes."""
+
+    def apply(self, p: BNProblem, cc: CurveClass, kind: StabilityKind) -> Optional[Found]:
+        q = serre_dual_problem(p)
+        found = _first(q, cc, kind, lambda rule: rule.dual)
+        if found is None:
+            return None
+        conclusion, inner = found
+        return conclusion, _certify(self.name, {
+            "problem": _problem_params(p), "dual": _problem_params(q), "inner": [inner]})
+
+
+def _slope_two_params(p: BNProblem, cc: CurveClass, kind: StabilityKind) -> Optional[dict]:
+    # on d = 2n the answer depends on the curve type; hyperelliptic curves
+    # have their own rule, and an open curve type needs the two to agree
+    if p.n < 2 or p.d != 2 * p.n or resolves_hyperelliptic(cc, p.g):
+        return None
+    if implies_nonhyperelliptic(cc, p.g):
+        return _problem_params(p, kind="stable", route="slope-two", cc=cc.value)
+    return _problem_params(p, kind="stable", route="slope-two-agreement")
+
+
+def _on_slope_two(p: BNProblem, cc: CurveClass, kind: StabilityKind) -> Optional[dict]:
+    return _problem_params(p, cc=cc.value) if p.n >= 2 and p.d == 2 * p.n else None
+
+
+# Untwisted problems walk the rows in order: the first rule that applies
+# fixes the status and every later rule agreeing with it adds its
+# certificate.  SmallSlope, HyperellipticSlopeTwo and CanonicalDualSpan
+# never apply together.
+RULES: tuple[Rule, ...] = (
+    Rule(RULE_TRIVIAL, _trivial, lambda p, cc, kind: {"k": p.k} if p.k <= 0 else None,
+         dual=True),
+    Rule(RULE_PETRI, _petri,
+         lambda p, cc, kind: _problem_params(p, cc=cc.value) if p.n == 1 else None),
+    Rule(RULE_SMALL_SLOPE, _small_slope,
+         lambda p, cc, kind: _problem_params(p, kind=kind.value, route="interior")
+         if p.n >= 2 and 0 < p.d < 2 * p.n else None, dual=True),
+    Rule(RULE_SMALL_SLOPE, _small_slope, _slope_two_params, dual=True, stable=True),
+    Rule(RULE_HYPERELLIPTIC, _hyperelliptic, _on_slope_two, dual=True, stable=True),
+    Rule(RULE_CANONICAL, _canonical, _on_slope_two, dual=True),
+    Rule(RULE_REGION_T, _region_t,
+         lambda p, cc, kind: _problem_params(p, kind=kind.value), dual=True),
+    Rule(RULE_REGION_BMNO, _region_bmno,
+         lambda p, cc, kind: _problem_params(p, kind=kind.value, cc=cc.value), dual=True),
+    _SerreDualRule(RULE_SERRE_DUAL_OF, _serre_dual_of),
+    Rule(RULE_KNOWN_EMPTY, _known_empty,
+         lambda p, cc, kind: _problem_params(p, kind=kind.value)
+         if (p.g, p.n, p.d, p.k) in KNOWN_EMPTY_TABLE else None),
+)
+# every judge by rule name: the table's, and those of the rules that only
+# universal problems use
+_JUDGES = {rule.name: rule.judge for rule in RULES} | {
+    RULE_SWAPPED_OF: _swapped_of, RULE_LINE_REDUCTION: _line_reduction,
+    RULE_TWISTED_SCALING: _twisted_scaling, RULE_PRODUCT: _product, RULE_KERNEL: _kernel}
+_SMALL_SLOPE_RULES = (RULE_SMALL_SLOPE, RULE_HYPERELLIPTIC, RULE_CANONICAL)
+
+
+def _first(p: BNProblem, cc: CurveClass, kind: StabilityKind,
+           keep: Callable[[Rule], bool]) -> Optional[Found]:
+    for rule in RULES:
+        if keep(rule):
+            found = rule.apply(p, cc, kind)
+            if found is not None:
+                return found
+    return None
+
+
+def _certify(rule: str, params: dict) -> Optional[Certificate]:
+    """The certificate of a rule at params, None when the rule does not apply.
+
+    Certificates the rule relies on are stored under params["inner"].
+    """
+    verdict = _JUDGES[rule](params)
+    if verdict is None:
+        return None
+    if verdict.nested:
+        params["inner"] = list(verdict.nested)
+    return Certificate(rule, params, verdict.premises)
 
 
 # ---------------------------------------------------------------------------
@@ -538,170 +676,36 @@ def small_slope_decide(g: int, n: int, d: int, k: int, cc: CurveClass) -> Decisi
                          f"got n={n}, d={d}")
     check_curve_class(g, cc)
     beta = beta_untwisted(g, n, d, k)
-    base = {"g": g, "n": n, "d": d, "k": k}
-    if d < 2 * n:
-        status, _ = _small_slope_interior(g, n, d, k, StabilityKind.STABLE)
-        cert = make_certificate(RULE_SMALL_SLOPE, {
-            **base, "kind": StabilityKind.STABLE.value, "route": "interior"})
-        return Decision(status, Scope.THIS_RANK, beta, (cert,))
-    # boundary slope: resolve the curve type if the class allows it
-    thr = n + g * (k - n)
-    hyper_nonempty = k <= n
-    nonhyp_nonempty = d >= thr or (n, d, k) == (g - 1, 2 * g - 2, g)
-    if resolves_hyperelliptic(cc, g):
-        cert = make_certificate(RULE_HYPERELLIPTIC, {**base, "cc": cc.value})
-        status = Status.NONEMPTY if hyper_nonempty else Status.EMPTY
-        return Decision(status, Scope.THIS_RANK, beta, (cert,))
-    if implies_nonhyperelliptic(cc, g):
-        certs = []
-        if d >= thr:
-            certs.append(make_certificate(RULE_SMALL_SLOPE, {
-                **base, "kind": StabilityKind.STABLE.value, "route": "slope-two",
-                "cc": cc.value}))
-        if (n, d, k) == (g - 1, 2 * g - 2, g):
-            certs.append(make_certificate(RULE_CANONICAL, {**base, "cc": cc.value}))
-        if certs:
-            return Decision(Status.NONEMPTY, Scope.THIS_RANK, beta, tuple(certs))
-        cert = make_certificate(RULE_SMALL_SLOPE, {
-            **base, "kind": StabilityKind.STABLE.value, "route": "slope-two",
-            "cc": cc.value})
-        return Decision(Status.EMPTY, Scope.THIS_RANK, beta, (cert,))
-    # AnySmooth: both curve types possible; answer only when they agree
-    if hyper_nonempty == nonhyp_nonempty:
-        cert = make_certificate(RULE_SMALL_SLOPE, {
-            **base, "kind": StabilityKind.STABLE.value,
-            "route": "slope-two-agreement"})
-        status = Status.NONEMPTY if hyper_nonempty else Status.EMPTY
-        return Decision(status, Scope.THIS_RANK, beta, (cert,))
-    return Decision(Status.UNKNOWN, Scope.THIS_RANK, beta, ())
+    found = _first(BNProblem(g, n, d, k), cc, StabilityKind.STABLE,
+                   lambda rule: rule.name in _SMALL_SLOPE_RULES)
+    if found is None:
+        return Decision(Status.UNKNOWN, Scope.THIS_RANK, beta, ())
+    (status, scope), cert = found
+    return Decision(status, scope, beta, (cert,))
 
 
 # ---------------------------------------------------------------------------
 # untwisted pipeline
 
-StepResult = Optional[tuple[Status, Scope, tuple[Certificate, ...]]]
-
-
-def _step_trivial(p: BNProblem) -> StepResult:
-    if p.k > 0:
-        return None
-    cert = make_certificate(RULE_TRIVIAL, {"k": p.k})
-    return Status.NONEMPTY, Scope.THIS_RANK, (cert,)
-
-
-def _step_rank_one(p: BNProblem, cc: CurveClass) -> StepResult:
-    if p.n != 1 or cc not in (CurveClass.PETRI, CurveClass.GENERAL):
-        return None
-    beta = beta_untwisted(p.g, 1, p.d, p.k)
-    cert = make_certificate(RULE_PETRI, {**_problem_params(p), "cc": cc.value})
-    status = Status.NONEMPTY if beta >= 0 else Status.EMPTY
-    return status, Scope.THIS_RANK, (cert,)
-
-
-def _step_small_slope(p: BNProblem, cc: CurveClass, kind: StabilityKind) -> StepResult:
-    if p.n < 2 or not 0 < p.d <= 2 * p.n:
-        return None
-    if kind is StabilityKind.STABLE:
-        dec = small_slope_decide(p.g, p.n, p.d, p.k, cc)
-        if dec.status is Status.UNKNOWN:
-            return None
-        return dec.status, dec.scope, dec.certificates
-    if p.d < 2 * p.n:
-        status, _ = _small_slope_interior(p.g, p.n, p.d, p.k, kind)
-        cert = make_certificate(RULE_SMALL_SLOPE, {
-            **_problem_params(p), "kind": kind.value, "route": "interior"})
-        return status, Scope.THIS_RANK, (cert,)
-    # boundary slope, semistable: the stable sublocus is the only handle
-    # here; stable emptiness says nothing about the semistable closure
-    dec = small_slope_decide(p.g, p.n, p.d, p.k, cc)
-    if dec.status is Status.NONEMPTY:
-        return Status.NONEMPTY, dec.scope, dec.certificates
-    return None
-
-
-def _step_region_t(p: BNProblem, kind: StabilityKind) -> StepResult:
-    v = membership_T(p.g, p.slope, p.section_density, kind)
-    if not v.inside or v.excluded_for_stable:
-        return None
-    cert = make_certificate(RULE_REGION_T, {**_problem_params(p), "kind": kind.value})
-    return Status.NONEMPTY, Scope.THIS_RANK, (cert,)
-
-
-def _step_region_bmno(p: BNProblem, cc: CurveClass, kind: StabilityKind) -> StepResult:
-    if kind is StabilityKind.STABLE and not implies_nonhyperelliptic(cc, p.g):
-        return None
-    v = membership_BMNO(p.g, p.slope, p.section_density, kind)
-    if not v.inside or v.excluded_for_stable:
-        return None
-    cert = make_certificate(RULE_REGION_BMNO, {
-        **_problem_params(p), "kind": kind.value, "cc": cc.value})
-    return Status.NONEMPTY, Scope.SOME_RANK_SAME_SLOPE_POINT, (cert,)
-
-
-def _wrap_serre(p: BNProblem, q: BNProblem, inner: tuple[Certificate, ...]) -> Certificate:
-    return make_certificate(RULE_SERRE_DUAL_OF, {
-        "problem": _problem_params(p), "dual": _problem_params(q),
-        "inner": list(inner)})
-
-
-def _step_dual(p: BNProblem, cc: CurveClass, kind: StabilityKind) -> StepResult:
-    q = serre_dual_problem(p)
-    for sub in (_step_trivial(q),
-                _step_small_slope(q, cc, kind),
-                _step_region_t(q, kind),
-                _step_region_bmno(q, cc, kind)):
-        if sub is not None:
-            status, scope, certs = sub
-            return status, scope, (_wrap_serre(p, q, certs),)
-    return None
-
-
-def _step_known_empty(p: BNProblem, kind: StabilityKind) -> StepResult:
-    entry = KNOWN_EMPTY_TABLE.get((p.g, p.n, p.d, p.k))
-    if entry is None or (entry is StabilityKind.STABLE
-                         and kind is not StabilityKind.STABLE):
-        return None
-    cert = make_certificate(RULE_KNOWN_EMPTY, {
-        **_problem_params(p), "kind": kind.value})
-    return Status.EMPTY, Scope.THIS_RANK, (cert,)
-
 
 def decide_untwisted(p: BNProblem, cc: CurveClass, kind: StabilityKind) -> Decision:
     """Decide nonemptiness of the rank-n locus, collecting certificates.
 
-    Steps run in a fixed order and the first definite answer fixes the
-    status; the remaining steps still run so that every rule agreeing
-    with that status contributes its certificate.  The scope is the
-    strongest granted by any collected step.
+    The rules of RULES run in order and the first definite answer fixes
+    the status; the remaining rules still run so that every rule
+    agreeing with that status contributes its certificate.  The scope is
+    the strongest granted by any collected certificate.
     """
     check_curve_class(p.g, cc)
-    steps = (
-        lambda: _step_trivial(p),
-        lambda: _step_rank_one(p, cc),
-        lambda: _step_small_slope(p, cc, kind),
-        lambda: _step_region_t(p, kind),
-        lambda: _step_region_bmno(p, cc, kind),
-        lambda: _step_dual(p, cc, kind),
-        lambda: _step_known_empty(p, kind),
-    )
-    results = []
-    for step in steps:
-        res = step()
-        if res is not None:
-            results.append(res)
+    found = [f for f in (rule.apply(p, cc, kind) for rule in RULES) if f is not None]
     beta = beta_untwisted(p.g, p.n, p.d, p.k)
-    if not results:
+    if not found:
         return Decision(Status.UNKNOWN, Scope.THIS_RANK, beta, ())
-    status = results[0][0]
-    agreeing = [(sc, certs) for st, sc, certs in results if st is status]
-    scope = (Scope.THIS_RANK if any(sc is Scope.THIS_RANK for sc, _ in agreeing)
-             else Scope.SOME_RANK_SAME_SLOPE_POINT)
-    collected: list[Certificate] = []
-    for _, certs in agreeing:
-        for c in certs:
-            if c not in collected:
-                collected.append(c)
-    return Decision(status, scope, beta, tuple(collected))
+    status = found[0][0][0]
+    agreeing = [(conclusion, cert) for conclusion, cert in found
+                if conclusion[0] is status]
+    _, scope = _summary([conclusion for conclusion, _ in agreeing])
+    return Decision(status, scope, beta, tuple(cert for _, cert in agreeing))
 
 
 # ---------------------------------------------------------------------------
@@ -721,17 +725,17 @@ def t1_twisted_decide(g: int, n1: int, d1: int, k: int, n2: int, d2: int,
         raise ValueError(f"scaling needs n1 >= 2, got {n1}")
     if variant not in ("direct", "serre"):
         raise ValueError(f"variant must be direct or serre, got {variant!r}")
-    params = {"g": g, "n1": n1, "d1": d1, "k": k, "n2": n2, "d2": d2,
-              "d0": d0, "k0": k0, "variant": variant, "kind": kind.value}
-    cert = make_certificate(RULE_TWISTED_SCALING, params)
+    cert = _certify(RULE_TWISTED_SCALING, {
+        "g": g, "n1": n1, "d1": d1, "k": k, "n2": n2, "d2": d2,
+        "d0": d0, "k0": k0, "variant": variant, "kind": kind.value})
     if variant == "direct":
         beta = beta_twisted(g, n1, d1, k, n2, d2)
     else:
         d2_dual = 2 * n2 * (g - 1) - d2
         beta = n1 * n1 * (g - 1) + 1 - k * (k - chi_pairing(g, n1, d1, n2, d2_dual))
-    if all(pr.holds for pr in cert.premises):
-        return Decision(Status.NONEMPTY, Scope.THIS_RANK, beta, (cert,))
-    return Decision(Status.UNKNOWN, Scope.THIS_RANK, beta, ())
+    if cert is None:
+        return Decision(Status.UNKNOWN, Scope.THIS_RANK, beta, ())
+    return Decision(Status.NONEMPTY, Scope.THIS_RANK, beta, (cert,))
 
 
 # ---------------------------------------------------------------------------
@@ -774,21 +778,18 @@ def _presentations(p: UniversalProblem, cap: int = 8
 def _wrap_chain(cert: Certificate, ops: list[str],
                 chain: list[UniversalProblem]) -> Certificate:
     for i in range(len(ops) - 1, -1, -1):
-        src, dst = chain[i], chain[i + 1]
+        src, dst = _universal_params(chain[i]), _universal_params(chain[i + 1])
         if ops[i] == "serre":
-            cert = make_certificate(RULE_SERRE_DUAL_OF, {
-                "problem": _universal_params(src), "dual": _universal_params(dst),
-                "inner": [cert]})
+            cert = _certify(RULE_SERRE_DUAL_OF,
+                            {"problem": src, "dual": dst, "inner": [cert]})
         else:
-            cert = make_certificate(RULE_SWAPPED_OF, {
-                "problem": _universal_params(src), "swapped": _universal_params(dst),
-                "inner": [cert]})
+            cert = _certify(RULE_SWAPPED_OF,
+                            {"problem": src, "swapped": dst, "inner": [cert]})
     return cert
 
 
 def _try_product(q: UniversalProblem, cc: CurveClass,
                  kind: StabilityKind) -> Optional[Certificate]:
-    from . import construct
     mu1 = Fraction(q.d1, q.n1)
     if q.n1 < 2 or q.n2 < 2:
         return None
@@ -801,33 +802,25 @@ def _try_product(q: UniversalProblem, cc: CurveClass,
         ell = int(mu1) - 2
         if ell not in candidates:
             candidates.append(ell)
+    pair = {"n1": q.n1, "d1": q.d1, "n2": q.n2, "d2": q.d2}
+    counts = {"beta_universal": beta_universal(q.g, q.n1, q.d1, q.n2, q.d2, q.k),
+              "beta_tensor": beta_tensor(q.g, q.n1, q.d1, q.n2, q.d2, q.k)}
     for ell in sorted(candidates):
         shifted = shift_line_bundle(q, ell)
+        standard = shifted.d1 < 2 * q.n1 and shifted.d2 <= 2 * q.g * q.n2
         for k1, k2 in _divisor_pairs(q.k):
-            try:
-                witness = construct.product_construct(
-                    q.g, BNProblem(q.g, q.n1, shifted.d1, k1),
-                    BNProblem(q.g, q.n2, shifted.d2, k2), cc, kind)
-            except (construct.ConstructError, ValueError):
-                continue
-            params = {
-                "g": q.g, "kind": kind.value, "cc": cc.value,
-                "pair": {"n1": q.n1, "d1": q.d1, "n2": q.n2, "d2": q.d2},
+            cert = _certify(RULE_PRODUCT, {
+                "g": q.g, "kind": kind.value, "cc": cc.value, "pair": pair,
                 "ell": ell, "k": q.k, "k1": k1, "k2": k2,
                 "d1_shifted": shifted.d1, "d2_shifted": shifted.d2,
-                "window": witness.window,
-                "beta_universal": witness.beta_universal,
-                "beta_tensor": witness.beta_tensor,
-                "inner": list(witness.factor1_decision.certificates)
-                + list(witness.factor2_decision.certificates),
-            }
-            return make_certificate(RULE_PRODUCT, params)
+                "window": "standard" if standard else "relaxed", **counts})
+            if cert is not None:
+                return cert
     return None
 
 
 def _try_kernel(q: UniversalProblem, cc: CurveClass,
                 kind: StabilityKind) -> Optional[Certificate]:
-    from . import construct
     if q.n1 < 2 or q.d2 >= 0:
         return None
     d = -q.d2
@@ -841,20 +834,15 @@ def _try_kernel(q: UniversalProblem, cc: CurveClass,
         return None
     lo = max(q.n1 + 1, q.n1 + rat_ceil(Fraction(q.k + n * q.d1, denom)))
     hi = q.n1 + max(q.d1, 0)
+    bu = beta_universal(q.g, q.n1, q.d1, q.n2, q.d2, q.k)
     for k1 in range(lo, hi + 1):
-        try:
-            witness = construct.kernel_construct(q.g, q.n1, q.d1, k1, n, d, q.k,
-                                                 cc, kind)
-        except construct.ConstructError:
-            continue
-        params = {
+        cert = _certify(RULE_KERNEL, {
             "g": q.g, "kind": kind.value, "cc": cc.value,
             "n1": q.n1, "d1": q.d1, "k1": k1, "n": n, "d": d, "k": q.k,
-            "n2": q.n2, "d2": q.d2, "k_max": witness.k_max,
-            "beta_universal": witness.beta_universal,
-            "inner": list(witness.base_decision.certificates),
-        }
-        return make_certificate(RULE_KERNEL, params)
+            "n2": q.n2, "d2": q.d2, "k_max": denom * (k1 - q.n1) - n * q.d1,
+            "beta_universal": bu})
+        if cert is not None:
+            return cert
     return None
 
 
@@ -890,7 +878,7 @@ def decide_universal(p: UniversalProblem, cc: CurveClass,
     check_curve_class(p.g, cc)
     beta = beta_universal(p.g, p.n1, p.d1, p.n2, p.d2, p.k)
     if p.k <= 0:
-        cert = make_certificate(RULE_TRIVIAL, {"k": p.k})
+        cert = _certify(RULE_TRIVIAL, {"k": p.k})
         return Decision(Status.NONEMPTY, Scope.THIS_RANK, beta, (cert,))
     if p.n1 == 1 or p.n2 == 1:
         if p.n2 == 1:
@@ -898,7 +886,7 @@ def decide_universal(p: UniversalProblem, cc: CurveClass,
         else:
             reduced = BNProblem(p.g, p.n2, p.d2 + p.n2 * p.d1, p.k)
         inner = decide_untwisted(reduced, cc, kind)
-        cert = make_certificate(RULE_LINE_REDUCTION, {
+        cert = _certify(RULE_LINE_REDUCTION, {
             "problem": _universal_params(p),
             "reduced": _problem_params(reduced),
             "inner": list(inner.certificates)})

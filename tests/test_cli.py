@@ -1,7 +1,11 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -203,6 +207,31 @@ def test_plot_csv(capsys):
     assert {"T", "BMNO", "Clifford", "BNCurve", "BPN"} <= curves
     assert any(c.startswith("Excluded:") for c in curves)
     assert "Clifford,18,10" in lines
+
+
+def test_plot_rejects_genus_one(capsys):
+    for argv in (["plot", "--genus", "1"], ["plot", "--genus", "1", "--format", "csv"]):
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: genus must be >= 2, got 1\n"
+
+
+@pytest.mark.parametrize("argv, shown", [
+    (["--step", "0"], "0"),
+    (["--step=-1/2", "--format", "csv"], "-1/2"),
+])
+def test_plot_rejects_nonpositive_step(argv, shown):
+    # in a child process, so that a sampling loop that never advances
+    # fails the test at the timeout instead of hanging the suite
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-m", "bnloci.cli", "plot", "--genus", "5",
+                           *argv], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: step must be positive, got {shown}\n"
 
 
 def test_output_is_deterministic(capsys):

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +23,7 @@ from bnloci.oracle import (
     KNOWN_EMPTY_TABLE,
     Certificate,
     CurveClass,
+    Decision,
     Premise,
     Scope,
     Status,
@@ -325,6 +330,61 @@ def test_verify_rejects_unknown_rule():
     wrapper = dec.certificates[0]
     bent = replace(wrapper, params={**wrapper.params, "inner": [stray]})
     assert not verify_certificate(bent)
+
+
+@pytest.mark.parametrize("problem, cc, changes", [
+    (BNProblem(4, 2, 11, 6), ANY, {"status": Status.EMPTY}),
+    (BNProblem(3, 2, 6, 4), ANY, {"status": Status.NONEMPTY}),
+    (BNProblem(5, 1, 4, 2), PETRI, {"status": Status.EMPTY}),
+    (BNProblem(4, 2, 11, 6), ANY, {"scope": Scope.SOME_RANK_SAME_SLOPE_POINT}),
+    (BNProblem(5, 2, 14, 8), NONHYP, {"scope": Scope.THIS_RANK}),
+])
+def test_verify_rejects_mutated_decision(problem, cc, changes):
+    # the emitted decision re-checks; with one field changed it must not
+    dec = decide_untwisted(problem, cc, STABLE)
+    assert verify_decision(dec)
+    assert not verify_decision(replace(dec, **changes))
+
+
+def test_verify_rejects_decisions_without_certificates():
+    assert not verify_decision(Decision(Status.EMPTY, Scope.THIS_RANK, 0, ()))
+    assert not verify_decision(Decision(Status.NONEMPTY, Scope.THIS_RANK, 0, ()))
+    assert verify_decision(Decision(Status.UNKNOWN, Scope.THIS_RANK, 0, ()))
+
+
+def test_verify_rejects_certificates_of_mixed_status():
+    empty = decide_untwisted(BNProblem(3, 2, 6, 4), ANY, STABLE)
+    nonempty = decide_untwisted(BNProblem(4, 2, 11, 6), ANY, STABLE)
+    mixed = replace(nonempty, certificates=nonempty.certificates + empty.certificates)
+    assert not verify_decision(mixed)
+
+
+def test_verify_rejects_foreign_product_factors():
+    dec = decide_universal(UniversalProblem(6, 2, 3, 2, 3, 4), ANY, STABLE)
+    cert = dec.certificates[0]
+    assert cert.rule == "ProductConstruction"
+    other = decide_untwisted(BNProblem(4, 2, 11, 6), ANY, STABLE).certificates
+    bent = replace(cert, params={**cert.params, "inner": list(other)})
+    assert not verify_certificate(bent)
+
+
+def test_oracle_does_not_import_construct():
+    code = (
+        "import sys\n"
+        "import bnloci.oracle as o\n"
+        "from bnloci.bncore import UniversalProblem as U\n"
+        "from bnloci.regions import StabilityKind as K\n"
+        "for p in (U(6, 2, 3, 2, 3, 4), U(4, 2, 11, 7, -11, 21)):\n"
+        "    d = o.decide_universal(p, o.CurveClass.ANY_SMOOTH, K.STABLE)\n"
+        "    assert d.status is o.Status.NONEMPTY, d\n"
+        "assert 'bnloci.construct' not in sys.modules\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_decision_json_shape():
