@@ -39,6 +39,7 @@ from .construct import (
     bpn_membership,
     bpn_new_points,
     c6_enumerate,
+    check_grid_step,
     kernel_construct,
     kernel_negativity_min_d,
     product_construct,
@@ -413,8 +414,7 @@ def _excluded_markers(g: int) -> list[tuple[Fraction, Fraction, str]]:
 
 
 def _bpn_samples(g: int, step: Fraction) -> list[tuple[Fraction, Fraction]]:
-    if step <= 0:
-        raise ValueError(f"step must be positive, got {step}")
+    check_grid_step(g, step)
     samples = []
     mu = Fraction(0)
     while mu <= 2 * g - 2:

@@ -8,6 +8,7 @@ windows are computed symbolically with attainment tracked separately.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -28,8 +29,8 @@ from .exactq import (
     RationalLike,
     as_rational,
     pw_max,
-    quad_max_on_interval,
     rat_ceil,
+    rat_floor,
 )
 from .regions import StabilityKind, fg_piecewise, fg_eval, tg_piecewise, tg_eval
 from . import oracle
@@ -189,50 +190,92 @@ class _DirectBest:
     lam2: Rational
 
 
-def _affine_on(fn: PiecewiseFn, lo: Rational, hi: Rational) -> tuple[Rational, Rational]:
-    seg = fn.segment_at((lo + hi) / 2)
-    return seg.slope, seg.intercept
-
-
 def _bpn_direct(g: int, mu: Rational) -> Optional[_DirectBest]:
     """Exact sup of F(t)*F(mu - t) over the open window t in (0, min(2, mu)).
 
-    Interval pieces are maximized as exact quadratics; a maximum sitting
-    on an open edge is recorded as a limit (attained=False).  Breakpoints
-    interior to the window contribute their true values, which is how
-    isolated spikes of F enter.
+    With w = min(2, mu), the grid is {0, w}, the envelope breakpoints b
+    with 0 < b < w, and the reflections mu - b of those with
+    mu - w < b < mu.  Both slices are bisected out of the envelope's
+    sorted breakpoint tuple, and each factor's segments are found by
+    walking in from an end of its window.  Once the genus's O(g)
+    envelope exists, a query therefore costs O(log g) plus the few
+    breakpoints inside the width-2 window.
+
+    Between grid points both factors are affine, so each gap is
+    maximized as an exact quadratic (ties toward the smaller t); a
+    maximum sitting on an open edge is recorded as a limit
+    (attained=False).  Grid points interior to the window contribute
+    their true values, which is how isolated spikes of F enter.  The
+    best candidate has the largest (value, attained, -t); among equal
+    keys the leftmost gap wins.
     """
     w_hi = min(Fraction(2), mu)
     if w_hi <= 0:
         return None
     env = _upper_envelope(g)
+    bps, segs = env.breaks, env.segments
     pts = {Fraction(0), w_hi}
-    for b in env.breakpoints():
-        if 0 < b < w_hi:
-            pts.add(b)
-        rb = mu - b
-        if 0 < rb < w_hi:
-            pts.add(rb)
+    pts.update(bps[bisect_right(bps, 0):bisect_left(bps, w_hi)])
+    pts.update(mu - b for b in bps[bisect_right(bps, mu - w_hi):bisect_left(bps, mu)])
     grid = sorted(pts)
-    best: Optional[_DirectBest] = None
+    # indices into segs: `left` walks rightward over t, `right` walks
+    # leftward over mu - t
+    left = 0
+    right = bisect_left(segs, mu, key=lambda seg: seg.lo) - 1
+    best: Optional[tuple] = None
+    best_key: Optional[tuple] = None
 
-    def consider(cand: _DirectBest) -> None:
-        nonlocal best
-        if best is None or (cand.value, cand.attained, -cand.t) > (
-                best.value, best.attained, -best.t):
-            best = cand
+    def consider(value: Rational, attained: bool, t: Rational,
+                 lam1: Rational, lam2: Rational) -> None:
+        nonlocal best, best_key
+        key = (value, attained, -t)
+        if best_key is None or key > best_key:
+            best, best_key = (value, attained, t, lam1, lam2), key
 
-    for x in grid[1:-1]:
-        v1, v2 = env(x), env(mu - x)
-        consider(_DirectBest(v1 * v2, True, x, v1, v2))
-    for lo, hi in zip(grid, grid[1:]):
-        s1, i1 = _affine_on(env, lo, hi)
-        s2, i2 = _affine_on(env, mu - hi, mu - lo)
-        quad = Quadratic.from_affine_product(s1, i1, -s2, s2 * mu + i2)
-        t_hat, val = quad_max_on_interval(quad, lo, hi)
-        consider(_DirectBest(val, lo < t_hat < hi, t_hat,
-                             s1 * t_hat + i1, -s2 * t_hat + s2 * mu + i2))
-    return best
+    last = len(grid) - 2
+    for k, (lo, hi) in enumerate(zip(grid, grid[1:])):
+        # the open gap (lo, hi) holds no breakpoint of either factor
+        while segs[left].hi <= lo:
+            left += 1
+        v = mu - lo
+        while segs[right].lo >= v:
+            right -= 1
+        s1, i1 = segs[left].slope, segs[left].intercept
+        s2 = segs[right].slope
+        c2 = s2 * mu + segs[right].intercept
+        # F(t) = s1*t + i1 and F(mu - t) = c2 - s2*t on the gap
+        t_hat = None
+        if s1 * s2 > 0:
+            vertex = (s1 * c2 - s2 * i1) / (2 * s1 * s2)
+            if lo < vertex < hi:
+                t_hat = vertex
+        if t_hat is None:
+            lo1, lo2 = s1 * lo + i1, c2 - s2 * lo
+            hi1, hi2 = s1 * hi + i1, c2 - s2 * hi
+            at_lo, at_hi = lo1 * lo2, hi1 * hi2
+            if at_hi > at_lo:
+                consider(at_hi, False, hi, hi1, hi2)
+            else:
+                consider(at_lo, False, lo, lo1, lo2)
+        else:
+            lam1, lam2 = s1 * t_hat + i1, c2 - s2 * t_hat
+            consider(lam1 * lam2, True, t_hat, lam1, lam2)
+        if k == last:
+            break
+        # the grid point hi is interior to the window
+        seg = segs[left]
+        while seg.hi < hi or (seg.hi == hi and not seg.hi_closed):
+            left += 1
+            seg = segs[left]
+        lam1 = seg.slope * hi + seg.intercept
+        y = mu - hi
+        seg = segs[right]
+        while seg.lo > y or (seg.lo == y and not seg.lo_closed):
+            right -= 1
+            seg = segs[right]
+        lam2 = seg.slope * y + seg.intercept
+        consider(lam1 * lam2, True, hi, lam1, lam2)
+    return _DirectBest(*best)
 
 
 @dataclass(frozen=True)
@@ -250,10 +293,15 @@ class BPNQuery:
 def bpn_boundary(g: int, mu: RationalLike) -> BPNQuery:
     """Boundary value of the product region at slope mu.
 
-    Takes the better of the direct decomposition branch and the Serre
-    reflection of the opposite slope; ties go to the direct branch.  The
+    Takes the better of the direct decomposition branch, the sup of
+    F(t)*F(mu - t) over t in (0, min(2, mu)), and the Serre reflection
+    of the opposite slope; ties go to the direct branch.  The
     decomposition records (mu1, mu2, lam1, lam2) on the branch's own
     side, so for the reflected branch it describes the dual slope.
+
+    The first query at a genus builds the O(g) envelope F; every later
+    query reads only the envelope breakpoints inside its window and
+    costs O(log g).
     """
     if g < 2:
         raise DomainError(f"genus must be at least 2, got {g}")
@@ -262,24 +310,18 @@ def bpn_boundary(g: int, mu: RationalLike) -> BPNQuery:
         raise DomainError(f"slope {mu} outside [0, {2 * g - 2}]")
     direct = _bpn_direct(g, mu) if mu > 0 else None
     mirror = _bpn_direct(g, 2 * g - 2 - mu) if mu < 2 * g - 2 else None
-    choices = []
-    if direct is not None:
-        choices.append(BPNQuery(
-            g=g, mu=mu, lam=None, boundary=direct.value, attained=direct.attained,
-            decomposition=(direct.t, mu - direct.t, direct.lam1, direct.lam2),
-            branch="direct"))
     if mirror is not None:
-        dual_mu = 2 * g - 2 - mu
-        choices.append(BPNQuery(
-            g=g, mu=mu, lam=None, boundary=mirror.value + mu - (g - 1),
-            attained=mirror.attained,
-            decomposition=(mirror.t, dual_mu - mirror.t, mirror.lam1, mirror.lam2),
-            branch="serre-dual"))
-    best = choices[0]
-    for cand in choices[1:]:
-        if cand.boundary > best.boundary:
-            best = cand
-    return best
+        reflected = mirror.value + mu - (g - 1)
+        if direct is None or reflected > direct.value:
+            return BPNQuery(
+                g=g, mu=mu, lam=None, boundary=reflected, attained=mirror.attained,
+                decomposition=(mirror.t, 2 * g - 2 - mu - mirror.t,
+                               mirror.lam1, mirror.lam2),
+                branch="serre-dual")
+    return BPNQuery(
+        g=g, mu=mu, lam=None, boundary=direct.value, attained=direct.attained,
+        decomposition=(direct.t, mu - direct.t, direct.lam1, direct.lam2),
+        branch="direct")
 
 
 def bpn_membership(g: int, mu: RationalLike, lam: RationalLike) -> BPNQuery:
@@ -292,6 +334,24 @@ def bpn_membership(g: int, mu: RationalLike, lam: RationalLike) -> BPNQuery:
     lam = as_rational(lam)
     query = bpn_boundary(g, mu)
     return replace(query, lam=lam, member=0 < lam <= query.boundary)
+
+
+# the most grid slopes one scan of (0, 2g-2] may visit
+MAX_GRID_SLOPES = 10_000
+
+
+def check_grid_step(g: int, step: Rational) -> None:
+    """Reject a scan step that is not positive or too fine.
+
+    A step puts floor((2g-2)/step) grid slopes on (0, 2g-2]; more than
+    MAX_GRID_SLOPES of them is refused before any slope is evaluated.
+    """
+    if step <= 0:
+        raise ValueError(f"step must be positive, got {step}")
+    count = rat_floor((2 * g - 2) / step)
+    if count > MAX_GRID_SLOPES:
+        raise ValueError(f"step {step} gives {count} grid slopes on "
+                         f"(0, {2 * g - 2}], at most {MAX_GRID_SLOPES} allowed")
 
 
 @dataclass(frozen=True)
@@ -314,14 +374,14 @@ def bpn_new_points(g: int, step: RationalLike = Fraction(1, 8)) -> list[NewPoint
     Scans mu = i*step over (0, 2g-2] and returns a witness with exact
     margins wherever the product boundary strictly exceeds the staircase
     and the sawtooth values.  Below genus 5 the product boundary never
-    does, so small genera are rejected.
+    does, so small genera are rejected, and so is a step finer than
+    check_grid_step allows.
     """
     if g < 5:
         raise ValueError(f"the product region only exceeds the known ones "
                          f"from genus 5 on; got g={g}")
     step = as_rational(step)
-    if step <= 0:
-        raise ValueError(f"step must be positive, got {step}")
+    check_grid_step(g, step)
     out = []
     i = 1
     while i * step <= 2 * g - 2:

@@ -15,7 +15,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 Rational = Fraction
 RationalLike = Union[Fraction, int, str]
@@ -151,9 +151,14 @@ class PiecewiseFn:
     segment; anything outside the domain raises DomainError.  These
     checks run at construction time, so a malformed table (overlap, gap,
     double-closed junction) cannot be built at all.
+
+    ``breaks`` holds the sorted distinct segment endpoints.  It is built
+    on first use and kept, so consumers can bisect it instead of
+    rebuilding it, and the many O(g) region tables that never need it
+    do not pay for it.
     """
 
-    __slots__ = ("segments", "_his")
+    __slots__ = ("segments", "_his", "_breaks")
 
     def __init__(self, segments: Sequence[Segment]):
         segs = sorted(segments, key=lambda s: (s.lo, s.hi))
@@ -170,6 +175,7 @@ class PiecewiseFn:
                 raise ValueError(f"point {cur.lo} carried by no segment")
         self.segments: tuple[Segment, ...] = tuple(segs)
         self._his = [s.hi for s in segs]
+        self._breaks: Optional[tuple[Fraction, ...]] = None
 
     @property
     def domain_lo(self) -> Fraction:
@@ -190,13 +196,19 @@ class PiecewiseFn:
     def __call__(self, x: RationalLike) -> Fraction:
         return self.segment_at(x).value(x)
 
+    @property
+    def breaks(self) -> tuple[Fraction, ...]:
+        if self._breaks is None:
+            pts: list[Fraction] = []
+            for s in self.segments:
+                for x in (s.lo, s.hi):
+                    if not pts or pts[-1] != x:
+                        pts.append(x)
+            self._breaks = tuple(pts)
+        return self._breaks
+
     def breakpoints(self) -> list[Fraction]:
-        pts: list[Fraction] = []
-        for s in self.segments:
-            for x in (s.lo, s.hi):
-                if not pts or pts[-1] != x:
-                    pts.append(x)
-        return pts
+        return list(self.breaks)
 
     def atoms(self) -> Iterator[Union[PointAtom, IntervalAtom]]:
         """Yield the point/open-interval decomposition, left to right."""
@@ -229,7 +241,7 @@ def pw_max(f: PiecewiseFn, g: PiecewiseFn) -> PiecewiseFn:
     """
     if (f.domain_lo, f.domain_hi) != (g.domain_lo, g.domain_hi):
         raise ValueError("pw_max requires identical domains")
-    cuts = sorted(set(f.breakpoints()) | set(g.breakpoints()))
+    cuts = sorted(set(f.breaks) | set(g.breaks))
     atoms: list[Union[PointAtom, IntervalAtom]] = []
 
     def point(x: Fraction) -> None:

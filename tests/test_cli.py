@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import json
 import os
+import signal
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -232,6 +234,34 @@ def test_plot_rejects_nonpositive_step(argv, shown):
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr == f"error: step must be positive, got {shown}\n"
+
+
+@contextmanager
+def time_limit(seconds: float):
+    """Raise TimeoutError in the test if the block runs past `seconds`."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("argv", [
+    ["bpn", "--genus", "10", "--new-points", "--step", "1/1000000"],
+    ["plot", "--genus", "10", "--step", "1/1000000"],
+    ["plot", "--genus", "10", "--format", "csv", "--step", "1/1000000"],
+])
+def test_too_fine_step_exits_at_once(capsys, argv):
+    with time_limit(10):
+        assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: step 1/1000000 gives 18000000 grid slopes "
+                            "on (0, 18], at most 10000 allowed\n")
 
 
 def test_output_is_deterministic(capsys):

@@ -1,14 +1,20 @@
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction as Q
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bnloci import construct
 from bnloci.bncore import BNProblem, beta_universal
 from bnloci.construct import (
+    MAX_GRID_SLOPES,
+    BPNQuery,
     ConstructError,
+    _upper_envelope,
     bpn_boundary,
     bpn_membership,
     bpn_new_points,
@@ -20,7 +26,15 @@ from bnloci.construct import (
     product_construct,
     product_negativity_search,
 )
-from bnloci.exactq import DomainError
+from bnloci.exactq import (
+    DomainError,
+    PiecewiseFn,
+    Quadratic,
+    Rational,
+    RationalLike,
+    as_rational,
+    quad_max_on_interval,
+)
 from bnloci.oracle import CurveClass, Status
 from bnloci.regions import StabilityKind, fg_eval, tg_eval
 
@@ -205,6 +219,136 @@ def test_bpn_new_points_examples():
         bpn_new_points(4)
     with pytest.raises(ValueError, match="step"):
         bpn_new_points(10, 0)
+
+
+# reference: the full-breakpoint scan that bpn_boundary replaced, kept
+# verbatim as an oracle; it reads every envelope breakpoint per slope
+
+
+@dataclass(frozen=True)
+class _DirectBest:
+    value: Rational
+    attained: bool
+    t: Rational
+    lam1: Rational
+    lam2: Rational
+
+
+def _affine_on(fn: PiecewiseFn, lo: Rational, hi: Rational) -> tuple[Rational, Rational]:
+    seg = fn.segment_at((lo + hi) / 2)
+    return seg.slope, seg.intercept
+
+
+def _ref_bpn_direct(g: int, mu: Rational) -> Optional[_DirectBest]:
+    w_hi = min(Q(2), mu)
+    if w_hi <= 0:
+        return None
+    env = _upper_envelope(g)
+    pts = {Q(0), w_hi}
+    for b in env.breakpoints():
+        if 0 < b < w_hi:
+            pts.add(b)
+        rb = mu - b
+        if 0 < rb < w_hi:
+            pts.add(rb)
+    grid = sorted(pts)
+    best: Optional[_DirectBest] = None
+
+    def consider(cand: _DirectBest) -> None:
+        nonlocal best
+        if best is None or (cand.value, cand.attained, -cand.t) > (
+                best.value, best.attained, -best.t):
+            best = cand
+
+    for x in grid[1:-1]:
+        v1, v2 = env(x), env(mu - x)
+        consider(_DirectBest(v1 * v2, True, x, v1, v2))
+    for lo, hi in zip(grid, grid[1:]):
+        s1, i1 = _affine_on(env, lo, hi)
+        s2, i2 = _affine_on(env, mu - hi, mu - lo)
+        quad = Quadratic.from_affine_product(s1, i1, -s2, s2 * mu + i2)
+        t_hat, val = quad_max_on_interval(quad, lo, hi)
+        consider(_DirectBest(val, lo < t_hat < hi, t_hat,
+                             s1 * t_hat + i1, -s2 * t_hat + s2 * mu + i2))
+    return best
+
+
+def _ref_bpn_boundary(g: int, mu: RationalLike) -> BPNQuery:
+    if g < 2:
+        raise DomainError(f"genus must be at least 2, got {g}")
+    mu = as_rational(mu)
+    if not 0 <= mu <= 2 * g - 2:
+        raise DomainError(f"slope {mu} outside [0, {2 * g - 2}]")
+    direct = _ref_bpn_direct(g, mu) if mu > 0 else None
+    mirror = _ref_bpn_direct(g, 2 * g - 2 - mu) if mu < 2 * g - 2 else None
+    choices = []
+    if direct is not None:
+        choices.append(BPNQuery(
+            g=g, mu=mu, lam=None, boundary=direct.value, attained=direct.attained,
+            decomposition=(direct.t, mu - direct.t, direct.lam1, direct.lam2),
+            branch="direct"))
+    if mirror is not None:
+        dual_mu = 2 * g - 2 - mu
+        choices.append(BPNQuery(
+            g=g, mu=mu, lam=None, boundary=mirror.value + mu - (g - 1),
+            attained=mirror.attained,
+            decomposition=(mirror.t, dual_mu - mirror.t, mirror.lam1, mirror.lam2),
+            branch="serre-dual"))
+    best = choices[0]
+    for cand in choices[1:]:
+        if cand.boundary > best.boundary:
+            best = cand
+    return best
+
+
+def _assert_matches_reference(g: int, slopes) -> None:
+    # repr, unlike ==, also tells an int from an equal Fraction
+    for mu in slopes:
+        assert repr(bpn_boundary(g, mu)) == repr(_ref_bpn_boundary(g, mu))
+
+
+@pytest.mark.parametrize("g", [*range(2, 13), 20, 40])
+def test_bpn_matches_full_scan_on_eighth_grid(g):
+    _assert_matches_reference(g, [Q(i, 8) for i in range(8 * (2 * g - 2) + 1)])
+
+
+@pytest.mark.parametrize("g", range(5, 13))
+def test_bpn_matches_full_scan_on_tie_prone_slopes(g):
+    # denominators where gap vertices, grid points and breakpoints meet;
+    # a fixed stride keeps about 100 slopes per genus off the 1/8 grid
+    dens = {*range(1, 13), g - 1, g, 2 * g, 3 * g, 24, 60}
+    slopes = sorted({Q(p, q) for q in dens for p in range(q * (2 * g - 2) + 1)}
+                    - {Q(i, 8) for i in range(8 * (2 * g - 2) + 1)})
+    stride = len(slopes) // 100
+    _assert_matches_reference(g, slopes[g % stride::stride])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=2, max_value=40), st.data())
+def test_bpn_matches_full_scan_on_random_slopes(g, data):
+    q = data.draw(st.integers(min_value=1, max_value=3 * g))
+    p = data.draw(st.integers(min_value=0, max_value=q * (2 * g - 2)))
+    _assert_matches_reference(g, [Q(p, q)])
+
+
+def test_warm_bpn_query_reads_no_full_breakpoint_list(monkeypatch):
+    bpn_boundary(40, 1)
+
+    def refuse(self):
+        raise AssertionError("a slope query rebuilt the breakpoint list")
+
+    monkeypatch.setattr(PiecewiseFn, "breakpoints", refuse)
+    for i in range(1, 51):
+        assert bpn_boundary(40, Q(31 * i, 20)).boundary > 0
+
+
+def test_bpn_new_points_bounds_the_grid(monkeypatch):
+    with pytest.raises(ValueError, match=f"at most {MAX_GRID_SLOPES} "):
+        bpn_new_points(10, Q(1, 1000000))
+    monkeypatch.setattr(construct, "MAX_GRID_SLOPES", 36)
+    assert bpn_new_points(10, Q(1, 2))
+    with pytest.raises(ValueError, match="step 1/3 gives 54 grid slopes"):
+        bpn_new_points(10, Q(1, 3))
 
 
 # ---------------------------------------------------------------------------
