@@ -1,7 +1,8 @@
 """Command-line surface: compute counts, decide loci, search, enumerate, plot.
 
 Exit codes: 0 on success, 1 on invalid input (the message names the
-violated precondition), 2 on internal verification failure (a produced
+violated precondition) or on a negativity scan that found no witness
+within its proven range, 2 on internal verification failure (a produced
 certificate failed its re-check).  Data outputs are canonical JSON or
 CSV with rationals rendered exactly as "p/q"; SVG output is standalone
 and uses decimal coordinates for presentation only.
@@ -498,10 +499,20 @@ def _svg_document(g: int, samples_per_unit: int, step: Fraction) -> str:
     return "\n".join(parts) + "\n"
 
 
+# the most samples one plotted curve may hold; region_polyline puts about
+# 2(g-1)*samples_per_unit of them on [0, 2g-2]
+MAX_PLOT_SAMPLES = 10_000
+
+
 def _cmd_plot(args: argparse.Namespace) -> tuple[str, bool]:
     g = args.genus
     if g < 2:
         raise ValueError(f"genus must be >= 2, got {g}")
+    count = 2 * (g - 1) * args.samples_per_unit
+    if count > MAX_PLOT_SAMPLES:
+        raise ValueError(f"samples-per-unit {args.samples_per_unit} gives {count} "
+                         f"samples per curve on [0, {2 * g - 2}], at most "
+                         f"{MAX_PLOT_SAMPLES} allowed")
     if args.format == "csv":
         rows: list[list[Any]] = []
         for name in ("T", "BMNO", "Clifford", "BNCurve"):
@@ -689,9 +700,14 @@ def _run_selftest(seed: int, trials: int) -> tuple[str, bool]:
     return "\n".join(lines) + "\n", True
 
 
+# the most trials of the invariance suite: about 5 s of work on a 2-vCPU Xeon VM
+MAX_SELFTEST_TRIALS = 100_000
+
+
 def _cmd_selftest(args: argparse.Namespace) -> tuple[str, bool]:
-    if args.trials < 1:
-        raise ValueError(f"trials must be positive, got {args.trials}")
+    if not 1 <= args.trials <= MAX_SELFTEST_TRIALS:
+        raise ValueError(f"trials must be between 1 and {MAX_SELFTEST_TRIALS}, "
+                         f"got {args.trials}")
     return _run_selftest(args.seed, args.trials)
 
 
@@ -806,7 +822,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         text, verified = args.handler(args)
-    except ValueError as exc:
+    except (ValueError, RuntimeError) as exc:
+        # RuntimeError: a negativity scan that ran out of its provable range
         print(f"error: {exc}", file=sys.stderr)
         return 1
     _emit(text, args)

@@ -217,6 +217,11 @@ def _universal_params(p: UniversalProblem) -> dict:
     return {"g": p.g, "n1": p.n1, "d1": p.d1, "n2": p.n2, "d2": p.d2, "k": p.k}
 
 
+# where the product and kernel judges get their factor certificates from
+Certified = Callable[[BNProblem, CurveClass, StabilityKind],
+                     Optional[tuple[Certificate, ...]]]
+
+
 def _certified_here(p: BNProblem, cc: CurveClass,
                     kind: StabilityKind) -> Optional[tuple[Certificate, ...]]:
     """The certificates of p's decision when it is Nonempty at this rank."""
@@ -445,7 +450,7 @@ def _twisted_scaling(params: dict) -> Optional[Verdict]:
     return _verdict(prem, _NONEMPTY)
 
 
-def _product(params: dict) -> Optional[Verdict]:
+def _product(params: dict, certified: Certified = _certified_here) -> Optional[Verdict]:
     g = params["g"]
     kind = StabilityKind(params["kind"])
     cc = CurveClass(params["cc"])
@@ -477,7 +482,7 @@ def _product(params: dict) -> Optional[Verdict]:
         return None
     nested: list[Certificate] = []
     for which, n, ds, ks in (("first", n1, d1s, k1), ("second", n2, d2s, k2)):
-        certs = _certified_here(BNProblem(g, n, ds, ks), cc, kind)
+        certs = certified(BNProblem(g, n, ds, ks), cc, kind)
         if certs is None:
             return None
         prem.append(Premise(f"{which} factor ({n}, {ds}, {ks}) certified nonempty "
@@ -491,7 +496,7 @@ def _product(params: dict) -> Optional[Verdict]:
     return _verdict(prem, _NONEMPTY, nested)
 
 
-def _kernel(params: dict) -> Optional[Verdict]:
+def _kernel(params: dict, certified: Certified = _certified_here) -> Optional[Verdict]:
     g = params["g"]
     kind = StabilityKind(params["kind"])
     cc = CurveClass(params["cc"])
@@ -518,7 +523,7 @@ def _kernel(params: dict) -> Optional[Verdict]:
     prem.append(Premise(f"0 < k = {k} <= k_max = {k_max}", 0 < k <= k_max))
     if not _holds(prem):
         return None
-    base = _certified_here(BNProblem(g, n1, d1, k1), cc, kind)
+    base = certified(BNProblem(g, n1, d1, k1), cc, kind)
     if base is None:
         return None
     prem.append(Premise(f"base locus ({n1}, {d1}, {k1}) certified nonempty at "
@@ -627,12 +632,14 @@ def _first(p: BNProblem, cc: CurveClass, kind: StabilityKind,
     return None
 
 
-def _certify(rule: str, params: dict) -> Optional[Certificate]:
+def _certify(rule: str, params: dict, **context: Any) -> Optional[Certificate]:
     """The certificate of a rule at params, None when the rule does not apply.
 
     Certificates the rule relies on are stored under params["inner"].
+    Keyword context goes to the judge; the construction judges take
+    `certified`, the source of their factor certificates.
     """
-    verdict = _JUDGES[rule](params)
+    verdict = _JUDGES[rule](params, **context)
     if verdict is None:
         return None
     if verdict.nested:
@@ -788,8 +795,8 @@ def _wrap_chain(cert: Certificate, ops: list[str],
     return cert
 
 
-def _try_product(q: UniversalProblem, cc: CurveClass,
-                 kind: StabilityKind) -> Optional[Certificate]:
+def _try_product(q: UniversalProblem, cc: CurveClass, kind: StabilityKind,
+                 certified: Certified) -> Optional[Certificate]:
     mu1 = Fraction(q.d1, q.n1)
     if q.n1 < 2 or q.n2 < 2:
         return None
@@ -813,14 +820,15 @@ def _try_product(q: UniversalProblem, cc: CurveClass,
                 "g": q.g, "kind": kind.value, "cc": cc.value, "pair": pair,
                 "ell": ell, "k": q.k, "k1": k1, "k2": k2,
                 "d1_shifted": shifted.d1, "d2_shifted": shifted.d2,
-                "window": "standard" if standard else "relaxed", **counts})
+                "window": "standard" if standard else "relaxed", **counts},
+                certified=certified)
             if cert is not None:
                 return cert
     return None
 
 
-def _try_kernel(q: UniversalProblem, cc: CurveClass,
-                kind: StabilityKind) -> Optional[Certificate]:
+def _try_kernel(q: UniversalProblem, cc: CurveClass, kind: StabilityKind,
+                certified: Certified) -> Optional[Certificate]:
     if q.n1 < 2 or q.d2 >= 0:
         return None
     d = -q.d2
@@ -840,7 +848,7 @@ def _try_kernel(q: UniversalProblem, cc: CurveClass,
             "g": q.g, "kind": kind.value, "cc": cc.value,
             "n1": q.n1, "d1": q.d1, "k1": k1, "n": n, "d": d, "k": q.k,
             "n2": q.n2, "d2": q.d2, "k_max": denom * (k1 - q.n1) - n * q.d1,
-            "beta_universal": bu})
+            "beta_universal": bu}, certified=certified)
         if cert is not None:
             return cert
     return None
@@ -874,6 +882,13 @@ def decide_universal(p: UniversalProblem, cc: CurveClass,
     constructions in that order; the first success is wrapped back
     through the presentation chain.  All three constructions are
     one-directional, so the fall-through answer is Unknown.
+
+    The product and kernel constructions certify their factors with
+    decide_untwisted, and the presentations share many of them; each
+    distinct factor is decided once per search, and its outcome, a
+    failed one too, is reused for the rest of that search only.
+    Verification still re-decides every factor from its stored
+    parameters.
     """
     check_curve_class(p.g, cc)
     beta = beta_universal(p.g, p.n1, p.d1, p.n2, p.d2, p.k)
@@ -891,12 +906,21 @@ def decide_universal(p: UniversalProblem, cc: CurveClass,
             "reduced": _problem_params(reduced),
             "inner": list(inner.certificates)})
         return Decision(inner.status, inner.scope, beta, (cert,))
+    # cc and kind are fixed for the search, so the factor alone is the key
+    decided: dict[BNProblem, Optional[tuple[Certificate, ...]]] = {}
+
+    def certified(factor: BNProblem, cc: CurveClass,
+                  kind: StabilityKind) -> Optional[tuple[Certificate, ...]]:
+        if factor not in decided:
+            decided[factor] = _certified_here(factor, cc, kind)
+        return decided[factor]
+
     for q, ops, chain in _presentations(p):
-        for attempt in (_try_product, _try_kernel, _try_scaling):
-            cert = attempt(q, cc, kind)
-            if cert is not None:
-                wrapped = _wrap_chain(cert, ops, chain)
-                return Decision(Status.NONEMPTY, Scope.THIS_RANK, beta, (wrapped,))
+        cert = (_try_product(q, cc, kind, certified) or _try_kernel(q, cc, kind, certified)
+                or _try_scaling(q, cc, kind))
+        if cert is not None:
+            wrapped = _wrap_chain(cert, ops, chain)
+            return Decision(Status.NONEMPTY, Scope.THIS_RANK, beta, (wrapped,))
     return Decision(Status.UNKNOWN, Scope.THIS_RANK, beta, ())
 
 

@@ -264,6 +264,42 @@ def test_too_fine_step_exits_at_once(capsys, argv):
                             "on (0, 18], at most 10000 allowed\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["selftest", "--trials", "1000000000"],
+     "trials must be between 1 and 100000, got 1000000000"),
+    (["plot", "--genus", "10", "--samples-per-unit", "1000000000"],
+     "samples-per-unit 1000000000 gives 18000000000 samples per curve on [0, 18], "
+     "at most 10000 allowed"),
+    (["plot", "--genus", "10", "--format", "csv", "--samples-per-unit", "556"],
+     "samples-per-unit 556 gives 10008 samples per curve on [0, 18], "
+     "at most 10000 allowed"),
+], ids=["selftest-trials", "plot-svg-samples", "plot-csv-samples"])
+def test_oversized_work_exits_at_once(capsys, argv, message):
+    with time_limit(10):
+        assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("scan, argv", [
+    ("product_negativity_search",
+     ["product", "--genus", "6", "--negativity", "--mu1", "3/2", "--lam1", "1",
+      "--mu2", "3/2", "--lam2", "1"]),
+    ("kernel_negativity_min_d",
+     ["kernel", "--genus", "4", "--base", "2,11,6", "--negativity", "--family-e", "23"]),
+])
+def test_exhausted_scan_exits_one(capsys, monkeypatch, scan, argv):
+    def exhausted(*args, **kwargs):
+        raise RuntimeError("negativity scan exhausted its provable cap")
+
+    monkeypatch.setattr(cli, scan, exhausted)
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: negativity scan exhausted its provable cap\n"
+
+
 def test_output_is_deterministic(capsys):
     argv = ["plot", "--genus", "7", "--format", "csv"]
     first = run(capsys, argv)[1]

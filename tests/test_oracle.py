@@ -2,25 +2,37 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as Q
 from pathlib import Path
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bnloci import oracle
 from bnloci.bncore import (
     BNProblem,
     UniversalProblem,
+    beta_tensor,
     beta_twisted,
+    beta_universal,
     beta_untwisted,
     serre_dual_problem,
+    shift_line_bundle,
 )
+from bnloci.exactq import rat_ceil
 from bnloci.oracle import (
     KNOWN_EMPTY_TABLE,
+    RULE_KERNEL,
+    RULE_LINE_REDUCTION,
+    RULE_PRODUCT,
+    RULE_TRIVIAL,
     Certificate,
     CurveClass,
     Decision,
@@ -38,6 +50,15 @@ from bnloci.oracle import (
     t1_twisted_decide,
     verify_certificate,
     verify_decision,
+)
+from bnloci.oracle import (  # the search internals the reference below reuses
+    _certify,
+    _divisor_pairs,
+    _presentations,
+    _problem_params,
+    _try_scaling,
+    _universal_params,
+    _wrap_chain,
 )
 from bnloci.regions import StabilityKind, fg_eval
 
@@ -300,6 +321,160 @@ def test_universal_trivial_and_unknown():
     assert open_case.status is Status.UNKNOWN
     assert open_case.beta == -127
     assert open_case.certificates == ()
+
+
+# reference: the universal search before it kept its factor decisions,
+# kept verbatim as an oracle; every product and kernel candidate decides
+# its factors afresh through the judges' default
+
+
+def _ref_try_product(q: UniversalProblem, cc: CurveClass,
+                     kind: StabilityKind) -> Optional[Certificate]:
+    mu1 = Q(q.d1, q.n1)
+    if q.n1 < 2 or q.n2 < 2:
+        return None
+    candidates: list[int] = []
+    base = rat_ceil(mu1)
+    for ell in (base - 2, base - 1):
+        if 0 < mu1 - ell < 2:
+            candidates.append(ell)
+    if mu1.denominator == 1 and implies_nonhyperelliptic(cc, q.g):
+        ell = int(mu1) - 2
+        if ell not in candidates:
+            candidates.append(ell)
+    pair = {"n1": q.n1, "d1": q.d1, "n2": q.n2, "d2": q.d2}
+    counts = {"beta_universal": beta_universal(q.g, q.n1, q.d1, q.n2, q.d2, q.k),
+              "beta_tensor": beta_tensor(q.g, q.n1, q.d1, q.n2, q.d2, q.k)}
+    for ell in sorted(candidates):
+        shifted = shift_line_bundle(q, ell)
+        standard = shifted.d1 < 2 * q.n1 and shifted.d2 <= 2 * q.g * q.n2
+        for k1, k2 in _divisor_pairs(q.k):
+            cert = _certify(RULE_PRODUCT, {
+                "g": q.g, "kind": kind.value, "cc": cc.value, "pair": pair,
+                "ell": ell, "k": q.k, "k1": k1, "k2": k2,
+                "d1_shifted": shifted.d1, "d2_shifted": shifted.d2,
+                "window": "standard" if standard else "relaxed", **counts})
+            if cert is not None:
+                return cert
+    return None
+
+
+def _ref_try_kernel(q: UniversalProblem, cc: CurveClass,
+                    kind: StabilityKind) -> Optional[Certificate]:
+    if q.n1 < 2 or q.d2 >= 0:
+        return None
+    d = -q.d2
+    if (d - q.n2) % q.g != 0:
+        return None
+    n = (d - q.n2) // q.g
+    if n < 1:
+        return None
+    denom = d - n * (q.g - 1)
+    if denom <= 0:
+        return None
+    lo = max(q.n1 + 1, q.n1 + rat_ceil(Q(q.k + n * q.d1, denom)))
+    hi = q.n1 + max(q.d1, 0)
+    bu = beta_universal(q.g, q.n1, q.d1, q.n2, q.d2, q.k)
+    for k1 in range(lo, hi + 1):
+        cert = _certify(RULE_KERNEL, {
+            "g": q.g, "kind": kind.value, "cc": cc.value,
+            "n1": q.n1, "d1": q.d1, "k1": k1, "n": n, "d": d, "k": q.k,
+            "n2": q.n2, "d2": q.d2, "k_max": denom * (k1 - q.n1) - n * q.d1,
+            "beta_universal": bu})
+        if cert is not None:
+            return cert
+    return None
+
+
+def _ref_decide_universal(p: UniversalProblem, cc: CurveClass,
+                          kind: StabilityKind) -> Decision:
+    check_curve_class(p.g, cc)
+    beta = beta_universal(p.g, p.n1, p.d1, p.n2, p.d2, p.k)
+    if p.k <= 0:
+        cert = _certify(RULE_TRIVIAL, {"k": p.k})
+        return Decision(Status.NONEMPTY, Scope.THIS_RANK, beta, (cert,))
+    if p.n1 == 1 or p.n2 == 1:
+        if p.n2 == 1:
+            reduced = BNProblem(p.g, p.n1, p.d1 + p.n1 * p.d2, p.k)
+        else:
+            reduced = BNProblem(p.g, p.n2, p.d2 + p.n2 * p.d1, p.k)
+        inner = decide_untwisted(reduced, cc, kind)
+        cert = _certify(RULE_LINE_REDUCTION, {
+            "problem": _universal_params(p),
+            "reduced": _problem_params(reduced),
+            "inner": list(inner.certificates)})
+        return Decision(inner.status, inner.scope, beta, (cert,))
+    for q, ops, chain in _presentations(p):
+        for attempt in (_ref_try_product, _ref_try_kernel, _try_scaling):
+            cert = attempt(q, cc, kind)
+            if cert is not None:
+                wrapped = _wrap_chain(cert, ops, chain)
+                return Decision(Status.NONEMPTY, Scope.THIS_RANK, beta, (wrapped,))
+    return Decision(Status.UNKNOWN, Scope.THIS_RANK, beta, ())
+
+
+def _dumped(decision: Decision) -> str:
+    return json.dumps(decision_to_json(decision), sort_keys=True)
+
+
+def _assert_matches_memo_free_search(p: UniversalProblem, cc: CurveClass,
+                                     kind: StabilityKind) -> None:
+    dec = decide_universal(p, cc, kind)
+    assert _dumped(dec) == _dumped(_ref_decide_universal(p, cc, kind))
+    assert verify_decision(dec)
+
+
+def _count_factor_decisions(monkeypatch) -> Counter:
+    calls: Counter = Counter()
+
+    def counting(p, cc, kind):
+        calls[p] += 1
+        return decide_untwisted(p, cc, kind)
+
+    monkeypatch.setattr(oracle, "decide_untwisted", counting)
+    return calls
+
+
+def test_universal_search_decides_each_factor_once(monkeypatch):
+    # before the search kept its factor decisions, this Unknown search
+    # made 148 decide_untwisted calls for its 67 distinct factors
+    calls = _count_factor_decisions(monkeypatch)
+    dec = decide_universal(UniversalProblem(5, 4, -3, 4, 6, 8), ANY, SEMI)
+    assert dec.status is Status.UNKNOWN
+    assert len(calls) == 67
+    assert max(calls.values()) == 1
+
+
+def test_universal_search_keeps_no_state_between_calls(monkeypatch):
+    calls = _count_factor_decisions(monkeypatch)
+    p = UniversalProblem(6, 2, 3, 2, 3, 4)
+    first = decide_universal(p, ANY, STABLE)
+    decided_first = sum(calls.values())
+    second = decide_universal(p, ANY, STABLE)
+    assert decided_first > 0
+    assert sum(calls.values()) == 2 * decided_first
+    assert _dumped(first) == _dumped(second)
+
+
+def test_universal_search_matches_memo_free_search_on_seeded_set():
+    rng = random.Random(20)
+    for _ in range(300):
+        g = rng.randint(2, 9)
+        cc = rng.choice([c for c in CurveClass if (g, c) != (2, NONHYP)])
+        p = UniversalProblem(g, rng.randint(1, 6), rng.randint(-30, 40),
+                             rng.randint(1, 6), rng.randint(-30, 40), rng.randint(-2, 30))
+        _assert_matches_memo_free_search(p, cc, rng.choice([STABLE, SEMI]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=2, max_value=9), st.integers(min_value=2, max_value=6),
+       st.integers(min_value=-30, max_value=40), st.integers(min_value=2, max_value=6),
+       st.integers(min_value=-30, max_value=40), st.integers(min_value=1, max_value=30),
+       st.sampled_from([STABLE, SEMI]), st.sampled_from(list(CurveClass)))
+def test_universal_search_matches_memo_free_search(g, n1, d1, n2, d2, k, kind, cc):
+    if g == 2 and cc is NONHYP:
+        return
+    _assert_matches_memo_free_search(UniversalProblem(g, n1, d1, n2, d2, k), cc, kind)
 
 
 # ---------------------------------------------------------------------------
