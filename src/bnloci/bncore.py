@@ -186,17 +186,6 @@ def clifford_excess(g: int, pt: SlopePoint) -> Fraction:
     return pt.lam - pt.mu / 2 - 1
 
 
-def bn_curve_excess(g: int, pt: SlopePoint) -> Fraction:
-    """Signed position against the density-one level set of the expected count.
-
-    Zero exactly where lam*(lam - mu + g - 1) = g - 1; negative below the
-    curve (expected count positive at unit rank density), positive above.
-    Invariant under the Serre reflection of the slope plane.
-    """
-    _require_genus(g)
-    return pt.lam * (pt.lam - pt.mu + (g - 1)) - (g - 1)
-
-
 def slope_point(mu: Rational, lam: Rational) -> SlopePoint:
     """Convenience constructor accepting ints, Fractions or 'p/q' strings."""
     return SlopePoint(as_rational(mu), as_rational(lam))

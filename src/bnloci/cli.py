@@ -1,9 +1,9 @@
 """Command-line surface: compute counts, decide loci, search, enumerate, plot.
 
 Exit codes: 0 on success, 1 on invalid input (the message names the
-violated precondition) or on a negativity scan that found no witness
-within its proven range, 2 on internal verification failure (a produced
-certificate failed its re-check).  Data outputs are canonical JSON or
+violated precondition), on work past a declared limit or on a negativity
+scan that found no witness within its proven range, 2 on internal
+verification failure (a produced certificate failed its re-check).  Data outputs are canonical JSON or
 CSV with rationals rendered exactly as "p/q"; SVG output is standalone
 and uses decimal coordinates for presentation only.
 """
@@ -202,8 +202,20 @@ def _cmd_beta(args: argparse.Namespace) -> tuple[str, bool]:
 # decide
 
 
+# the largest genus of a command that builds region tables (decide, the
+# product and kernel constructions, bpn); their cold O(g) build sets the cost
+MAX_GENUS = 100_000
+
+
+def _check_genus(g: int) -> None:
+    if g > MAX_GENUS:
+        raise ValueError(f"genus {g} is above {MAX_GENUS}, the largest this "
+                         "command builds region tables for")
+
+
 def _cmd_decide(args: argparse.Namespace) -> tuple[str, bool]:
     g, k = args.genus, args.sections
+    _check_genus(g)
     cc, kind = _curve(args), _kind(args)
     if args.p1 is not None and args.p2 is not None:
         (n1, d1), (n2, d2) = args.p1, args.p2
@@ -246,6 +258,7 @@ def _cmd_product(args: argparse.Namespace) -> tuple[str, bool]:
     if args.p1 is None or args.p2 is None:
         raise ValueError("product needs --p1 and --p2 as rank,degree,sections "
                          "(or --negativity with slope data)")
+    _check_genus(g)
     (n1, d1, k1), (n2, d2, k2) = args.p1, args.p2
     cc, kind = _curve(args), _kind(args)
     w = product_construct(g, BNProblem(g, n1, d1, k1), BNProblem(g, n2, d2, k2),
@@ -293,6 +306,7 @@ def _cmd_kernel(args: argparse.Namespace) -> tuple[str, bool]:
     if args.twist is None or args.sections is None:
         raise ValueError("kernel construction needs --twist and --sections "
                          "(or --negativity with --family-e)")
+    _check_genus(g)
     kind = _kind(args)
     w = kernel_construct(g, n1, d1, k1, args.gen_rank, args.twist, args.sections,
                          cc, kind)
@@ -319,6 +333,7 @@ def _cmd_bpn(args: argparse.Namespace) -> tuple[str, bool]:
     modes = sum([args.boundary, args.lam is not None, args.new_points])
     if modes != 1:
         raise ValueError("choose exactly one of --boundary, --lam, --new-points")
+    _check_genus(g)
     if args.new_points:
         points = bpn_new_points(g, args.step)
         if args.format == "csv":
@@ -359,12 +374,33 @@ def _cmd_bpn(args: argparse.Namespace) -> tuple[str, bool]:
 # enumerate
 
 
+# the most candidate base degrees one enumerate call may scan; rank n1 has
+# a window of at most n1*(g-1) of them
+MAX_ENUMERATE_DEGREES = 1_000_000
+
+
+def _check_enumerate_work(g: int, lo: int, hi: int) -> None:
+    """Refuse ranks lo..hi whose degree windows add up past the limit.
+
+    Inputs that c6_enumerate rejects at its first rank (g < 3, lo < 2)
+    are left to it, so they keep their message.
+    """
+    if g < 3 or lo < 2:
+        return
+    bound = (g - 1) * (lo + hi) * (hi - lo + 1) // 2
+    if bound > MAX_ENUMERATE_DEGREES:
+        ranks = f"rank {lo}" if lo == hi else f"ranks {lo}..{hi}"
+        raise ValueError(f"{ranks} at genus {g}: up to {bound} candidate degrees, "
+                         f"at most {MAX_ENUMERATE_DEGREES} allowed")
+
+
 def _cmd_enumerate(args: argparse.Namespace) -> tuple[str, bool]:
     g = args.genus
     if args.rank_range is not None:
         lo, hi = args.rank_range
         if lo > hi:
             raise ValueError(f"rank range is empty: {lo} > {hi}")
+        _check_enumerate_work(g, lo, hi)
         rows = []
         for n1 in range(lo, hi + 1):
             k1 = n1 + args.section_offset
@@ -381,6 +417,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> tuple[str, bool]:
     if args.rank is None or args.sections is None:
         raise ValueError("enumerate needs --rank and --sections "
                          "(or --rank-range with --section-offset)")
+    _check_enumerate_work(g, args.rank, args.rank)
     degrees = c6_enumerate(g, args.rank, args.sections)
     doc = {"genus": g, "rank": args.rank, "sections": args.sections,
            "degrees": degrees, "count": len(degrees)}

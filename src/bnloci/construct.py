@@ -123,13 +123,27 @@ class NegativityWitness:
     bound: int
 
 
+def _least_root(x: Rational) -> int:
+    """The least m >= 1 with m*m >= x."""
+    m = isqrt(max(rat_ceil(x), 1))
+    return m if m * m >= x else m + 1
+
+
+# the most work one product negativity scan may do, counted as rank
+# levels tried plus ranks listed plus rank pairs visited
+MAX_NEGATIVITY_WORK = 1_000_000
+
+
 def product_negativity_search(g: int, mu1: RationalLike, lam1: RationalLike,
                               mu2: RationalLike, lam2: RationalLike) -> NegativityWitness:
     """Find ranks realizing two slope points whose pair count goes negative.
 
     Requires mu1 + mu2 < lam1*lam2 + g - 1; the expected count then fails
     quartically in the rank scale while the trivial bound grows only
-    quadratically, so the scan terminates.
+    quadratically, so the scan terminates.  Its provable cap grows with
+    the slopes' denominators and with 1/c, c = lam1*lam2*(lam1*lam2 -
+    (mu1 + mu2) + g - 1), so a scan that passes MAX_NEGATIVITY_WORK
+    without a witness is refused.
     """
     if g < 2:
         raise ConstructError(f"genus must be at least 2, got {g}")
@@ -141,20 +155,21 @@ def product_negativity_search(g: int, mu1: RationalLike, lam1: RationalLike,
     if mu1 + mu2 >= lam1 * lam2 + g - 1:
         raise ConstructError("negativity criterion fails: "
                              "mu1 + mu2 >= lam1*lam2 + g - 1")
-    bound = 1
-    while bound * bound < Fraction(2 * g) / c:
-        bound += 1
+    bound = _least_root(Fraction(2 * g) / c)
     den1 = lcm(mu1.denominator, lam1.denominator)
     den2 = lcm(mu2.denominator, lam2.denominator)
     dmax = max(den1, den2)
-    target = Fraction(2 * dmax * dmax * (g - 1) + 2) / c
-    m_guar = 1
-    while m_guar * m_guar < target:
-        m_guar += 1
+    m_guar = _least_root(Fraction(2 * dmax * dmax * (g - 1) + 2) / c)
     cap = max(2, m_guar * dmax) + 1
+    work = 0
     for top in range(2, cap + 1):
         opts1 = [n for n in range(den1, top + 1, den1) if n >= 2]
         opts2 = [n for n in range(den2, top + 1, den2) if n >= 2]
+        work += 1 + len(opts1) + len(opts2) + len(opts1) * len(opts2)
+        if work > MAX_NEGATIVITY_WORK:
+            raise ConstructError(
+                f"negativity scan needs more than {MAX_NEGATIVITY_WORK} steps of "
+                f"work: no witness below rank {top}, provable cap rank {cap}")
         for n1 in opts1:
             for n2 in opts2:
                 if max(n1, n2) != top:
@@ -521,7 +536,10 @@ def kernel_negativity_min_d(g: int, n1: int, d1: int, k1: int, n: int, e: int,
 
     Requires the section family to fit under the budget for every degree
     (e large enough) and the quadratic's leading coefficient to be
-    negative, which pins down the base degree window.
+    negative, which pins down the base degree window.  The degree comes
+    from the quadratic's larger root in O(1) integer steps; scan_start is
+    the first admissible degree and scan_stop a root bound past which the
+    count stays negative.
     """
     w = k1 - n1
     quad = kernel_beta_quadratic(g, n1, d1, k1, n, e)
@@ -536,14 +554,18 @@ def kernel_negativity_min_d(g: int, n1: int, d1: int, k1: int, n: int, e: int,
     window_start = 2 * n * g + (0 if oracle.implies_nonhyperelliptic(cc, g) else 1)
     start = max(window_start, e // w + 1)
     stop = rat_ceil(Fraction(abs(quad.b) + abs(quad.c), abs(quad.a))) + 1
-    for d in range(start, max(start, stop) + 1):
-        val = quad(d)
-        if val < 0:
-            return KernelNegativityWitness(
-                g=g, n1=n1, d1=d1, k1=k1, n=n, e=e, quadratic=quad,
-                d_min=d, beta=int(val), k=w * d - e,
-                scan_start=start, scan_stop=stop)
-    raise RuntimeError("negativity scan passed the root bound without a hit")
+    d = start
+    if quad(start) >= 0:
+        # start lies between the roots, so the answer is the least integer
+        # above the larger root (b + sqrt(D)) / (2|a|); for integer
+        # coefficients the floor of that root is exact with isqrt(D) in
+        # place of sqrt(D)
+        a, b, c = int(quad.a), int(quad.b), int(quad.c)
+        d = (b + isqrt(b * b - 4 * a * c)) // (-2 * a) + 1
+    return KernelNegativityWitness(
+        g=g, n1=n1, d1=d1, k1=k1, n=n, e=e, quadratic=quad,
+        d_min=d, beta=int(quad(d)), k=w * d - e,
+        scan_start=start, scan_stop=stop)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 Rational = Fraction
 RationalLike = Union[Fraction, int, str]
@@ -106,10 +106,6 @@ class Segment:
         if self.lo == self.hi and not (self.lo_closed and self.hi_closed):
             raise ValueError("point segment must be closed on both sides")
 
-    @property
-    def is_point(self) -> bool:
-        return self.lo == self.hi
-
     def contains(self, x: Fraction) -> bool:
         if x < self.lo or x > self.hi:
             return False
@@ -121,25 +117,6 @@ class Segment:
 
     def value(self, x: RationalLike) -> Fraction:
         return self.slope * as_rational(x) + self.intercept
-
-
-# atoms: canonical decomposition of a piecewise function into isolated
-# points and open intervals; consumers that maximise over segments use it.
-@dataclass(frozen=True)
-class PointAtom:
-    x: Fraction
-    value: Fraction
-
-
-@dataclass(frozen=True)
-class IntervalAtom:
-    lo: Fraction
-    hi: Fraction
-    slope: Fraction
-    intercept: Fraction
-
-    def value(self, x: Fraction) -> Fraction:
-        return self.slope * x + self.intercept
 
 
 class PiecewiseFn:
@@ -210,28 +187,6 @@ class PiecewiseFn:
     def breakpoints(self) -> list[Fraction]:
         return list(self.breaks)
 
-    def atoms(self) -> Iterator[Union[PointAtom, IntervalAtom]]:
-        """Yield the point/open-interval decomposition, left to right."""
-        for s in self.segments:
-            if s.is_point:
-                yield PointAtom(s.lo, s.value(s.lo))
-                continue
-            if s.lo_closed:
-                yield PointAtom(s.lo, s.value(s.lo))
-            yield IntervalAtom(s.lo, s.hi, s.slope, s.intercept)
-            if s.hi_closed:
-                yield PointAtom(s.hi, s.value(s.hi))
-
-
-def _atoms_to_segments(atoms: Sequence[Union[PointAtom, IntervalAtom]]) -> list[Segment]:
-    segs: list[Segment] = []
-    for a in atoms:
-        if isinstance(a, PointAtom):
-            segs.append(Segment(a.x, a.x, True, True, Fraction(0), a.value))
-        else:
-            segs.append(Segment(a.lo, a.hi, False, False, a.slope, a.intercept))
-    return segs
-
 
 def pw_max(f: PiecewiseFn, g: PiecewiseFn) -> PiecewiseFn:
     """Pointwise maximum of two piecewise functions on the same domain.
@@ -242,7 +197,7 @@ def pw_max(f: PiecewiseFn, g: PiecewiseFn) -> PiecewiseFn:
     if (f.domain_lo, f.domain_hi) != (g.domain_lo, g.domain_hi):
         raise ValueError("pw_max requires identical domains")
     cuts = sorted(set(f.breaks) | set(g.breaks))
-    atoms: list[Union[PointAtom, IntervalAtom]] = []
+    segs: list[Segment] = []
 
     def point(x: Fraction) -> None:
         # domain ends may be open in one operand; the max is then undefined there
@@ -250,7 +205,7 @@ def pw_max(f: PiecewiseFn, g: PiecewiseFn) -> PiecewiseFn:
             v1, v2 = f(x), g(x)
         except DomainError:
             return
-        atoms.append(PointAtom(x, max(v1, v2)))
+        segs.append(Segment(x, x, True, True, Fraction(0), max(v1, v2)))
 
     def interval(u: Fraction, v: Fraction) -> None:
         mid = (u + v) / 2
@@ -258,32 +213,23 @@ def pw_max(f: PiecewiseFn, g: PiecewiseFn) -> PiecewiseFn:
         s2 = g.segment_at(mid)
         a1, b1 = s1.slope, s1.intercept
         a2, b2 = s2.slope, s2.intercept
-        if a1 == a2:
-            if b1 >= b2:
-                atoms.append(IntervalAtom(u, v, a1, b1))
-            else:
-                atoms.append(IntervalAtom(u, v, a2, b2))
-            return
-        x_cross = (b2 - b1) / (a1 - a2)
-        if not (u < x_cross < v):
-            va = a1 * mid + b1
-            vb = a2 * mid + b2
-            if va >= vb:
-                atoms.append(IntervalAtom(u, v, a1, b1))
-            else:
-                atoms.append(IntervalAtom(u, v, a2, b2))
+        x_cross = (b2 - b1) / (a1 - a2) if a1 != a2 else None
+        if x_cross is None or not u < x_cross < v:
+            # one side wins the whole gap (with equal slopes: b1 >= b2)
+            a, b = (a1, b1) if a1 * mid + b1 >= a2 * mid + b2 else (a2, b2)
+            segs.append(Segment(u, v, False, False, a, b))
             return
         left_mid = (u + x_cross) / 2
         if a1 * left_mid + b1 >= a2 * left_mid + b2:
             lo_affine, hi_affine = (a1, b1), (a2, b2)
         else:
             lo_affine, hi_affine = (a2, b2), (a1, b1)
-        atoms.append(IntervalAtom(u, x_cross, *lo_affine))
-        atoms.append(PointAtom(x_cross, a1 * x_cross + b1))
-        atoms.append(IntervalAtom(x_cross, v, *hi_affine))
+        segs.append(Segment(u, x_cross, False, False, *lo_affine))
+        segs.append(Segment(x_cross, x_cross, True, True, Fraction(0), a1 * x_cross + b1))
+        segs.append(Segment(x_cross, v, False, False, *hi_affine))
 
     point(cuts[0])
     for u, v in zip(cuts, cuts[1:]):
         interval(u, v)
         point(v)
-    return PiecewiseFn(_atoms_to_segments(atoms))
+    return PiecewiseFn(segs)

@@ -24,7 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Any, Callable, NamedTuple, Optional
+from math import isqrt
+from typing import Any, Callable, Iterator, NamedTuple, Optional
 
 from .bncore import (
     BNProblem,
@@ -651,26 +652,6 @@ def _certify(rule: str, params: dict, **context: Any) -> Optional[Certificate]:
 # small-slope deciders
 
 
-def classify_small_slope(g: int, n: int, d: int,
-                         hyperelliptic: bool = False) -> tuple[str, int, int]:
-    """Structural case of a small-slope problem, with d = n + g*ell + ellprime.
-
-    Cases I-III cover 0 < d < 2n by the position of d relative to n + g
-    and the divisibility of d - n by g; d = 2n is the boundary case IV
-    (V on a hyperelliptic curve).
-    """
-    if g < 2 or n < 2 or not 0 < d <= 2 * n:
-        raise ValueError(f"need g >= 2, n >= 2, 0 < d <= 2n; got ({g}, {n}, {d})")
-    ell, ellp = divmod(d - n, g)
-    if d == 2 * n:
-        return ("V" if hyperelliptic else "IV"), ell, ellp
-    if d < n + g:
-        return "I", ell, ellp
-    if ellp == 0:
-        return "II", ell, ellp
-    return "III", ell, ellp
-
-
 def small_slope_decide(g: int, n: int, d: int, k: int, cc: CurveClass) -> Decision:
     """Decide the stable locus in the small-slope window 0 < d <= 2n, n >= 2.
 
@@ -749,11 +730,28 @@ def t1_twisted_decide(g: int, n1: int, d1: int, k: int, n2: int, d2: int,
 # universal pipeline
 
 
+# the most steps any one loop of a universal search may take: trial
+# divisions of k, kernel base section counts or scaling seed section counts
+MAX_SEARCH_STEPS = 50_000
+
+
+def _bounded(values: range, what: str) -> Iterator[int]:
+    """The values of one search loop, refused once MAX_SEARCH_STEPS have run."""
+    for step, value in enumerate(values):
+        if step == MAX_SEARCH_STEPS:
+            raise ValueError(f"universal search loop over {len(values)} {what} "
+                             f"passed its limit of {MAX_SEARCH_STEPS} steps")
+        yield value
+
+
 def _divisor_pairs(k: int) -> list[tuple[int, int]]:
+    """Ordered pairs (k1, k2) with k1*k2 = k, by max(k1, k2) and then k1."""
     pairs = []
-    for k1 in range(1, k + 1):
+    for k1 in _bounded(range(1, isqrt(max(k, 0)) + 1), "trial divisors"):
         if k % k1 == 0:
             pairs.append((k1, k // k1))
+            if k1 != k // k1:
+                pairs.append((k // k1, k1))
     pairs.sort(key=lambda pk: (max(pk), pk[0]))
     return pairs
 
@@ -812,10 +810,11 @@ def _try_product(q: UniversalProblem, cc: CurveClass, kind: StabilityKind,
     pair = {"n1": q.n1, "d1": q.d1, "n2": q.n2, "d2": q.d2}
     counts = {"beta_universal": beta_universal(q.g, q.n1, q.d1, q.n2, q.d2, q.k),
               "beta_tensor": beta_tensor(q.g, q.n1, q.d1, q.n2, q.d2, q.k)}
+    pairs = _divisor_pairs(q.k)
     for ell in sorted(candidates):
         shifted = shift_line_bundle(q, ell)
         standard = shifted.d1 < 2 * q.n1 and shifted.d2 <= 2 * q.g * q.n2
-        for k1, k2 in _divisor_pairs(q.k):
+        for k1, k2 in pairs:
             cert = _certify(RULE_PRODUCT, {
                 "g": q.g, "kind": kind.value, "cc": cc.value, "pair": pair,
                 "ell": ell, "k": q.k, "k1": k1, "k2": k2,
@@ -843,7 +842,7 @@ def _try_kernel(q: UniversalProblem, cc: CurveClass, kind: StabilityKind,
     lo = max(q.n1 + 1, q.n1 + rat_ceil(Fraction(q.k + n * q.d1, denom)))
     hi = q.n1 + max(q.d1, 0)
     bu = beta_universal(q.g, q.n1, q.d1, q.n2, q.d2, q.k)
-    for k1 in range(lo, hi + 1):
+    for k1 in _bounded(range(lo, hi + 1), "kernel base section counts"):
         cert = _certify(RULE_KERNEL, {
             "g": q.g, "kind": kind.value, "cc": cc.value,
             "n1": q.n1, "d1": q.d1, "k1": k1, "n": n, "d": d, "k": q.k,
@@ -864,7 +863,7 @@ def _try_scaling(q: UniversalProblem, cc: CurveClass,
         d0 = q.d1 // q.n1
     chi0 = chi_pairing(q.g, 1, d0, q.n2, q.d2)
     lo = max(1, rat_ceil(Fraction(q.k, q.n1)))
-    for k0 in range(lo, chi0 + q.g):
+    for k0 in _bounded(range(lo, chi0 + q.g), "scaling seed section counts"):
         if beta_twisted(q.g, 1, d0, k0, q.n2, q.d2) >= 1:
             dec = t1_twisted_decide(q.g, q.n1, q.d1, q.k, q.n2, q.d2, d0, k0,
                                     "direct", kind)

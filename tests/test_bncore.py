@@ -14,7 +14,6 @@ from bnloci.bncore import (
     beta_twisted,
     beta_universal,
     beta_untwisted,
-    bn_curve_excess,
     chi_pairing,
     clifford_excess,
     moduli_dim,
@@ -88,12 +87,6 @@ def test_clifford_and_curve_excess_values():
     pt = slope_point(3, Q(441, 400))
     assert clifford_excess(3, pt) == Q(441, 400) - Q(3, 2) - 1
     assert clifford_excess(4, slope_point(2, 2)) == 0
-    # (1, 1) lies on the density-one level set for every genus
-    assert bn_curve_excess(7, slope_point(1, 1)) == 0
-    # the canonical point and its Serre mirror both sit one unit above it
-    g = 7
-    assert bn_curve_excess(g, slope_point(2 * g - 2, g)) == 1
-    assert bn_curve_excess(3, slope_point(0, 1)) == 1
 
 
 def test_genus_and_rank_validation():
@@ -121,7 +114,6 @@ def test_point_duality_matches_problem_duality(g, mu, lam):
     pt = SlopePoint(mu, lam)
     dual = serre_dual_point(g, pt)
     assert serre_dual_point(g, dual) == pt
-    assert bn_curve_excess(g, dual) == bn_curve_excess(g, pt)
     n = mu.denominator * lam.denominator
     p = BNProblem(g, n, mu.numerator * lam.denominator, lam.numerator * mu.denominator)
     q = serre_dual_problem(p)

@@ -2,16 +2,15 @@ from __future__ import annotations
 
 import json
 import os
-import signal
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
-from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
 from bnloci import cli
+from timing import time_limit
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -236,20 +235,6 @@ def test_plot_rejects_nonpositive_step(argv, shown):
     assert proc.stderr == f"error: step must be positive, got {shown}\n"
 
 
-@contextmanager
-def time_limit(seconds: float):
-    """Raise TimeoutError in the test if the block runs past `seconds`."""
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 @pytest.mark.parametrize("argv", [
     ["bpn", "--genus", "10", "--new-points", "--step", "1/1000000"],
     ["plot", "--genus", "10", "--step", "1/1000000"],
@@ -280,6 +265,76 @@ def test_oversized_work_exits_at_once(capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+UNIVERSAL = ["decide", "--genus", "6", "--sections"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["product", "--genus", "6", "--negativity", "--mu1", "2999999/1000000",
+      "--lam1", "1", "--mu2", "3", "--lam2", "1"],
+     "negativity scan needs more than 1000000 steps of work: no witness below "
+     "rank 1414, provable cap rank 3162277661000001"),
+    (["enumerate", "--genus", "3", "--rank-range", "2,1000000000"],
+     "ranks 2..1000000000 at genus 3: up to 1000000000999999998 candidate "
+     "degrees, at most 1000000 allowed"),
+    (["enumerate", "--genus", "10000", "--rank-range", "2,100"],
+     "ranks 2..100 at genus 10000: up to 50484951 candidate degrees, "
+     "at most 1000000 allowed"),
+    (["enumerate", "--genus", "100000000", "--rank", "3", "--sections", "5"],
+     "rank 3 at genus 100000000: up to 299999997 candidate degrees, "
+     "at most 1000000 allowed"),
+    (UNIVERSAL + ["5", "--p1", "2,1000000000000", "--p2", "2,-8"],
+     "universal search loop over 666666666666 kernel base section counts "
+     "passed its limit of 50000 steps"),
+    (UNIVERSAL + ["5", "--p1", "2,-1000000000000", "--p2", "2,3"],
+     "universal search loop over 1414213 trial divisors passed its limit of "
+     "50000 steps"),
+    (UNIVERSAL + ["5", "--p1", "2,1000000", "--p2", "2,-8"],
+     "universal search loop over 666666 kernel base section counts passed its "
+     "limit of 50000 steps"),
+    (["decide", "--genus", "10000000", "--rank", "2", "--degree", "3",
+      "--sections", "1"],
+     "genus 10000000 is above 100000, the largest this command builds region "
+     "tables for"),
+    (["bpn", "--genus", "100001", "--mu", "3", "--boundary"],
+     "genus 100001 is above 100000, the largest this command builds region "
+     "tables for"),
+    (["product", "--genus", "100001", "--p1", "2,3,2", "--p2", "2,3,2"],
+     "genus 100001 is above 100000, the largest this command builds region "
+     "tables for"),
+    (["kernel", "--genus", "100001", "--base", "2,11,6", "--twist", "11",
+      "--sections", "21"],
+     "genus 100001 is above 100000, the largest this command builds region "
+     "tables for"),
+], ids=["product-negativity", "enumerate-wide-range", "enumerate-large-genus-range",
+        "enumerate-huge-genus", "universal-kernel-loop", "universal-divisors",
+        "universal-kernel-loop-1e6", "decide-genus", "bpn-genus", "product-genus",
+        "kernel-genus"])
+def test_unbounded_work_exits_at_once(capsys, argv, message):
+    with time_limit(10):
+        assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_kernel_negativity_of_a_large_family_answers_at_once(capsys):
+    with time_limit(10):
+        code, doc = run_json(capsys, [
+            "kernel", "--genus", "4", "--base", "2,11,6", "--gen-rank", "1",
+            "--negativity", "--family-e", "100000000"])
+    assert code == 0
+    assert (doc["d_min"], doc["beta"], doc["k"]) == (479128681, -286182523, 1816514724)
+
+
+def test_universal_search_with_many_divisors_answers_at_once(capsys):
+    with time_limit(10):
+        code, doc = run_json(capsys, UNIVERSAL + ["1000000000", "--p1", "2,3",
+                                                  "--p2", "2,3"])
+    assert code == 0
+    assert doc["decision"]["status"] == "Unknown"
+    assert doc["verified"] is True
 
 
 @pytest.mark.parametrize("scan, argv", [

@@ -1,17 +1,22 @@
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from math import lcm
 from typing import Optional
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bnloci import construct
+from bnloci import construct, oracle
 from bnloci.bncore import BNProblem, beta_universal
 from bnloci.construct import (
     MAX_GRID_SLOPES,
+    MAX_NEGATIVITY_WORK,
+    KernelNegativityWitness,
+    NegativityWitness,
     BPNQuery,
     ConstructError,
     _upper_envelope,
@@ -34,9 +39,11 @@ from bnloci.exactq import (
     RationalLike,
     as_rational,
     quad_max_on_interval,
+    rat_ceil,
 )
 from bnloci.oracle import CurveClass, Status
 from bnloci.regions import StabilityKind, fg_eval, tg_eval
+from timing import time_limit
 
 STABLE = StabilityKind.STABLE
 SEMI = StabilityKind.SEMISTABLE
@@ -135,6 +142,67 @@ def test_negativity_witness_is_consistent(g, mu1, lam1, mu2, lam2):
     assert w.k == w.k1 * w.k2
     assert w.beta_universal == beta_universal(g, w.n1, w.d1, w.n2, w.d2, w.k)
     assert w.beta_universal < 0
+
+
+def _ref_product_negativity_search(g, mu1, lam1, mu2, lam2) -> NegativityWitness:
+    """The unbounded scan, with its square roots found by counting up."""
+    mu1, lam1 = as_rational(mu1), as_rational(lam1)
+    mu2, lam2 = as_rational(mu2), as_rational(lam2)
+    c = lam1 * lam2 * (lam1 * lam2 - (mu1 + mu2) + (g - 1))
+    bound = 1
+    while bound * bound < Q(2 * g) / c:
+        bound += 1
+    den1 = lcm(mu1.denominator, lam1.denominator)
+    den2 = lcm(mu2.denominator, lam2.denominator)
+    dmax = max(den1, den2)
+    target = Q(2 * dmax * dmax * (g - 1) + 2) / c
+    m_guar = 1
+    while m_guar * m_guar < target:
+        m_guar += 1
+    cap = max(2, m_guar * dmax) + 1
+    for top in range(2, cap + 1):
+        opts1 = [n for n in range(den1, top + 1, den1) if n >= 2]
+        opts2 = [n for n in range(den2, top + 1, den2) if n >= 2]
+        for n1 in opts1:
+            for n2 in opts2:
+                if max(n1, n2) != top:
+                    continue
+                d1, d2 = int(mu1 * n1), int(mu2 * n2)
+                k1, k2 = int(lam1 * n1), int(lam2 * n2)
+                k = k1 * k2
+                beta = beta_universal(g, n1, d1, n2, d2, k)
+                if beta < 0:
+                    return NegativityWitness(
+                        g=g, mu1=mu1, lam1=lam1, mu2=mu2, lam2=lam2,
+                        n1=n1, n2=n2, d1=d1, d2=d2, k1=k1, k2=k2, k=k,
+                        beta_universal=beta, bound=bound)
+    raise RuntimeError("negativity scan exhausted its provable cap")
+
+
+def _random_negativity_inputs(seed: int, count: int) -> list[tuple]:
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        g = rng.randint(2, 12)
+        mu1 = Q(rng.randint(0, 12), rng.choice((1, 2, 3, 4, 5)))
+        mu2 = Q(rng.randint(0, 12), rng.choice((1, 2, 3, 4, 5)))
+        lam1 = Q(rng.randint(1, 6), rng.choice((1, 2, 3)))
+        lam2 = Q(rng.randint(1, 6), rng.choice((1, 2, 3)))
+        if mu1 + mu2 < lam1 * lam2 + g - 1:
+            out.append((g, mu1, lam1, mu2, lam2))
+    return out
+
+
+def test_negativity_search_matches_unbounded_scan_on_seeded_set():
+    for args in _random_negativity_inputs(8, 400):
+        assert product_negativity_search(*args) == _ref_product_negativity_search(*args)
+
+
+def test_negativity_search_refuses_past_its_work_limit():
+    # c = 10^-6 puts the provable cap near rank 3*10^15
+    with time_limit(10):
+        with pytest.raises(ConstructError, match=f"more than {MAX_NEGATIVITY_WORK} steps"):
+            product_negativity_search(6, Q(2999999, 1000000), 1, 3, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -423,6 +491,50 @@ def test_kernel_negativity_example():
     # a non-hyperelliptic curve opens the boundary degree, same minimum
     w2 = kernel_negativity_min_d(4, 2, 11, 6, 1, 23, NONHYP)
     assert (w2.d_min, w2.scan_start) == (11, 8)
+
+
+def _ref_kernel_negativity_min_d(g, n1, d1, k1, n, e, cc=ANY) -> KernelNegativityWitness:
+    """The degree-by-degree scan from the first admissible degree."""
+    w = k1 - n1
+    quad = kernel_beta_quadratic(g, n1, d1, k1, n, e)
+    window_start = 2 * n * g + (0 if oracle.implies_nonhyperelliptic(cc, g) else 1)
+    start = max(window_start, e // w + 1)
+    stop = rat_ceil(Q(abs(quad.b) + abs(quad.c), abs(quad.a))) + 1
+    for d in range(start, max(start, stop) + 1):
+        val = quad(d)
+        if val < 0:
+            return KernelNegativityWitness(
+                g=g, n1=n1, d1=d1, k1=k1, n=n, e=e, quadratic=quad,
+                d_min=d, beta=int(val), k=w * d - e,
+                scan_start=start, scan_stop=stop)
+    raise RuntimeError("negativity scan passed the root bound without a hit")
+
+
+def test_kernel_negativity_matches_scan_on_seeded_set():
+    rng = random.Random(11)
+    checked = 0
+    while checked < 1500:
+        g = rng.randint(3, 12)
+        n1 = rng.randint(2, 6)
+        k1 = n1 + rng.randint(1, n1 * (g - 2))
+        d1 = rng.randint(0, k1 + n1 * (g - 1))
+        n = rng.randint(1, 3)
+        e = n * ((k1 - n1) * (g - 1) + d1) + rng.choice((0, 1, 5, 40, 300, 3000))
+        cc = rng.choice((ANY, NONHYP))
+        try:
+            got = kernel_negativity_min_d(g, n1, d1, k1, n, e, cc)
+        except ConstructError:
+            continue
+        assert got == _ref_kernel_negativity_min_d(g, n1, d1, k1, n, e, cc)
+        checked += 1
+
+
+def test_kernel_negativity_answers_large_family_at_once():
+    # the scan would walk about 4.5*10^8 degrees
+    with time_limit(10):
+        w = kernel_negativity_min_d(4, 2, 11, 6, 1, 100_000_000)
+    assert (w.d_min, w.beta, w.k) == (479128681, -286182523, 1816514724)
+    assert w.quadratic(w.d_min) < 0 <= w.quadratic(w.d_min - 1)
 
 
 def test_kernel_negativity_rejections():

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from bnloci.exactq import (
     DomainError,
     PiecewiseFn,
-    PointAtom,
     Quadratic,
     Segment,
     pw_max,
@@ -150,13 +149,6 @@ def test_point_segment_must_be_closed():
         Segment(Q(1), Q(1), True, False, Q(0), Q(0))
 
 
-def test_atoms_roundtrip_values():
-    f = _step_fn()
-    atoms = list(f.atoms())
-    points = [a for a in atoms if isinstance(a, PointAtom)]
-    assert {(a.x, a.value) for a in points} == {(Q(0), Q(5)), (Q(1), Q(1)), (Q(3), Q(2))}
-
-
 def test_pw_max_with_crossing():
     # f(x) = x and g(x) = 2 - x on [0, 2] cross at x = 1
     f = PiecewiseFn([Segment(Q(0), Q(2), True, True, Q(1), Q(0))])
@@ -168,6 +160,25 @@ def test_pw_max_with_crossing():
     assert h(Q(3, 2)) == Q(3, 2)
     assert h(2) == 2
     assert Q(1) in h.breakpoints()
+
+
+def test_pw_max_keeps_spikes_and_drops_uncarried_ends():
+    # f is open at 0 and spikes to 3 at x = 1; g is closed on [0, 2]
+    f = PiecewiseFn([
+        Segment(Q(0), Q(1), False, False, Q(0), Q(0)),
+        Segment(Q(1), Q(1), True, True, Q(0), Q(3)),
+        Segment(Q(1), Q(2), False, True, Q(0), Q(0)),
+    ])
+    g = PiecewiseFn([Segment(Q(0), Q(2), True, True, Q(1), Q(0))])
+    h = pw_max(f, g)
+    with pytest.raises(DomainError):
+        h(0)
+    assert h(Q(1, 2)) == Q(1, 2)
+    assert h(1) == 3
+    assert h(Q(3, 2)) == Q(3, 2)
+    assert h(2) == 2
+    assert [(s.lo, s.hi) for s in h.segments] == [
+        (0, 1), (1, 1), (1, 2), (2, 2)]
 
 
 def test_pw_max_requires_same_domain():

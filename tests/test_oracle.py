@@ -40,7 +40,6 @@ from bnloci.oracle import (
     Scope,
     Status,
     check_curve_class,
-    classify_small_slope,
     decide_universal,
     decide_untwisted,
     decision_to_json,
@@ -105,23 +104,6 @@ def test_genus_two_is_hyperelliptic():
 
 # ---------------------------------------------------------------------------
 # small slope
-
-
-def test_classify_small_slope_cases():
-    assert classify_small_slope(5, 4, 6) == ("I", 0, 2)
-    assert classify_small_slope(3, 7, 10) == ("II", 1, 0)
-    assert classify_small_slope(3, 7, 11) == ("III", 1, 1)
-    assert classify_small_slope(3, 4, 8) == ("IV", 1, 1)
-    assert classify_small_slope(3, 4, 8, hyperelliptic=True) == ("V", 1, 1)
-
-
-def test_classify_small_slope_rejects_bad_input():
-    with pytest.raises(ValueError):
-        classify_small_slope(3, 1, 1)
-    with pytest.raises(ValueError):
-        classify_small_slope(3, 4, 9)
-    with pytest.raises(ValueError):
-        classify_small_slope(1, 3, 2)
 
 
 def test_small_slope_interior_threshold():
@@ -475,6 +457,26 @@ def test_universal_search_matches_memo_free_search(g, n1, d1, n2, d2, k, kind, c
     if g == 2 and cc is NONHYP:
         return
     _assert_matches_memo_free_search(UniversalProblem(g, n1, d1, n2, d2, k), cc, kind)
+
+
+def test_divisor_pairs_match_full_trial_division():
+    for k in range(-2, 3000):
+        full = [(k1, k // k1) for k1 in range(1, k + 1) if k % k1 == 0]
+        full.sort(key=lambda pk: (max(pk), pk[0]))
+        assert _divisor_pairs(k) == full
+
+
+def test_search_loops_stop_at_their_limit(monkeypatch):
+    monkeypatch.setattr(oracle, "MAX_SEARCH_STEPS", 10)
+    assert len(_divisor_pairs(120)) == 16  # isqrt(120) = 10 trial divisors
+    with pytest.raises(ValueError, match="loop over 11 trial divisors passed its "
+                                         "limit of 10 steps"):
+        _divisor_pairs(121)
+    # a search that ends inside every limit keeps its answer
+    assert decide_universal(UniversalProblem(6, 2, 30, 2, -8, 5), ANY,
+                            STABLE).status is Status.NONEMPTY
+    with pytest.raises(ValueError, match="loop over 666 kernel base section counts"):
+        decide_universal(UniversalProblem(6, 2, 1000, 2, -8, 5), ANY, STABLE)
 
 
 # ---------------------------------------------------------------------------
