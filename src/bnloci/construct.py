@@ -76,19 +76,13 @@ def product_construct(g: int, p1: BNProblem, p2: BNProblem,
         raise ConstructError("factor ranks must both be at least 2")
     if p1.d < 1 or p2.d < 1 or p1.k < 1 or p2.k < 1:
         raise ConstructError("factor degrees and section counts must be positive")
-    standard = p1.d < 2 * p1.n and p2.d <= 2 * g * p2.n
-    relaxed = (p1.d <= 2 * p1.n and p2.d < 2 * g * p2.n
-               and oracle.implies_nonhyperelliptic(cc, g))
-    if standard:
-        window = "standard"
-    elif relaxed:
-        window = "relaxed"
-    elif p1.d > 2 * p1.n:
-        raise ConstructError("first factor slope exceeds 2")
-    elif p1.d == 2 * p1.n:
-        raise ConstructError("first factor slope exactly 2 needs a "
-                             "non-hyperelliptic curve with d2 < 2g*n2")
-    else:
+    window = oracle.first_window(oracle.product_windows(g, p1.n, p1.d, p2.n, p2.d, cc))
+    if window is None:
+        if p1.d > 2 * p1.n:
+            raise ConstructError("first factor slope exceeds 2")
+        if p1.d == 2 * p1.n:
+            raise ConstructError("first factor slope exactly 2 needs a "
+                                 "non-hyperelliptic curve with d2 < 2g*n2")
         raise ConstructError("second factor degree exceeds 2g*n2")
     dec1 = oracle.decide_untwisted(p1, cc, kind)
     if dec1.status is not Status.NONEMPTY or dec1.scope is not Scope.THIS_RANK:
@@ -446,15 +440,12 @@ class KernelWitness:
 
 def _kernel_window_check(g: int, n: int, d: int, cc: CurveClass,
                          kind: StabilityKind) -> None:
+    if oracle.kernel_premises(g, n, d, d - n * g, -d, cc, kind)[-1].holds:
+        return
     if kind is StabilityKind.STABLE:
-        if d > 2 * n * g:
-            return
-        if d == 2 * n * g and oracle.implies_nonhyperelliptic(cc, g):
-            return
         raise ConstructError(f"twist degree {d} must exceed 2ng = {2 * n * g} "
                              "(equality needs a non-hyperelliptic curve)")
-    if d < 2 * n * g:
-        raise ConstructError(f"twist degree {d} must be at least 2ng = {2 * n * g}")
+    raise ConstructError(f"twist degree {d} must be at least 2ng = {2 * n * g}")
 
 
 def kernel_construct(g: int, n1: int, d1: int, k1: int, n: int, d: int, k: int,

@@ -451,6 +451,29 @@ def _twisted_scaling(params: dict) -> Optional[Verdict]:
     return _verdict(prem, _NONEMPTY)
 
 
+def product_windows(g: int, n1: int, d1s: int, n2: int, d2s: int,
+                    cc: CurveClass) -> dict[str, list[Premise]]:
+    """The premises of each slope window of a shifted product pair, standard
+    then relaxed; the pair has a window when all of that window's hold."""
+    return {
+        "standard": [
+            Premise(f"slope window: d1' = {d1s} < 2*n1 = {2 * n1}", d1s < 2 * n1),
+            Premise(f"slope window: d2' = {d2s} <= 2*g*n2 = {2 * g * n2}",
+                    d2s <= 2 * g * n2)],
+        "relaxed": [
+            Premise(f"relaxed window: d1' = {d1s} <= 2*n1 = {2 * n1}", d1s <= 2 * n1),
+            Premise(f"relaxed window: d2' = {d2s} < 2*g*n2 = {2 * g * n2}",
+                    d2s < 2 * g * n2),
+            Premise("relaxed window requires non-hyperelliptic",
+                    implies_nonhyperelliptic(cc, g))],
+    }
+
+
+def first_window(windows: dict[str, list[Premise]]) -> Optional[str]:
+    """The name of the first window whose premises all hold, or None."""
+    return next((name for name, prem in windows.items() if _holds(prem)), None)
+
+
 def _product(params: dict, certified: Certified = _certified_here) -> Optional[Verdict]:
     g = params["g"]
     kind = StabilityKind(params["kind"])
@@ -467,18 +490,8 @@ def _product(params: dict, certified: Certified = _certified_here) -> Optional[V
         Premise(f"factor degrees {d1s}, {d2s} and section counts {k1}, {k2} "
                 "all >= 1", d1s >= 1 and d2s >= 1 and k1 >= 1 and k2 >= 1),
     ]
-    if params["window"] == "standard":
-        prem.append(Premise(f"slope window: d1' = {d1s} < 2*n1 = {2 * n1}",
-                            d1s < 2 * n1))
-        prem.append(Premise(f"slope window: d2' = {d2s} <= 2*g*n2 = {2 * g * n2}",
-                            d2s <= 2 * g * n2))
-    else:
-        prem.append(Premise(f"relaxed window: d1' = {d1s} <= 2*n1 = {2 * n1}",
-                            d1s <= 2 * n1))
-        prem.append(Premise(f"relaxed window: d2' = {d2s} < 2*g*n2 = {2 * g * n2}",
-                            d2s < 2 * g * n2))
-        prem.append(Premise("relaxed window requires non-hyperelliptic",
-                            implies_nonhyperelliptic(cc, g)))
+    windows = product_windows(g, n1, d1s, n2, d2s, cc)
+    prem += windows["standard" if params["window"] == "standard" else "relaxed"]
     if not _holds(prem):
         return None
     nested: list[Certificate] = []
@@ -497,16 +510,11 @@ def _product(params: dict, certified: Certified = _certified_here) -> Optional[V
     return _verdict(prem, _NONEMPTY, nested)
 
 
-def _kernel(params: dict, certified: Certified = _certified_here) -> Optional[Verdict]:
-    g = params["g"]
-    kind = StabilityKind(params["kind"])
-    cc = CurveClass(params["cc"])
-    n1, d1, k1 = params["n1"], params["d1"], params["k1"]
-    n, d, k = params["n"], params["d"], params["k"]
-    n2, d2 = params["n2"], params["d2"]
-    k_max = (d - n * (g - 1)) * (k1 - n1) - n * d1
+def kernel_premises(g: int, n: int, d: int, n2: int, d2: int, cc: CurveClass,
+                    kind: StabilityKind) -> list[Premise]:
+    """The kernel premises that do not involve the base locus: the generator
+    rank, the induced pair and, last, the twist window d >= 2ng."""
     prem = [
-        Premise(f"n1 = {n1} >= 2 and k1 = {k1} > n1", n1 >= 2 and k1 > n1),
         Premise(f"generator rank n = {n} >= 1", n >= 1),
         Premise(f"induced pair (n2, d2) = ({n2}, {d2}) == (d - n*g, -d) = "
                 f"({d - n * g}, {-d})", (n2, d2) == (d - n * g, -d)),
@@ -519,6 +527,19 @@ def _kernel(params: dict, certified: Certified = _certified_here) -> Optional[Ve
                                 d == 2 * n * g and implies_nonhyperelliptic(cc, g)))
     else:
         prem.append(Premise(f"d = {d} >= 2ng = {2 * n * g}", d >= 2 * n * g))
+    return prem
+
+
+def _kernel(params: dict, certified: Certified = _certified_here) -> Optional[Verdict]:
+    g = params["g"]
+    kind = StabilityKind(params["kind"])
+    cc = CurveClass(params["cc"])
+    n1, d1, k1 = params["n1"], params["d1"], params["k1"]
+    n, d, k = params["n"], params["d"], params["k"]
+    n2, d2 = params["n2"], params["d2"]
+    k_max = (d - n * (g - 1)) * (k1 - n1) - n * d1
+    prem = [Premise(f"n1 = {n1} >= 2 and k1 = {k1} > n1", n1 >= 2 and k1 > n1),
+            *kernel_premises(g, n, d, n2, d2, cc, kind)]
     prem.append(Premise(f"section budget k_max = {k_max} matches "
                         f"(d - n(g-1))(k1 - n1) - n*d1", k_max == params["k_max"]))
     prem.append(Premise(f"0 < k = {k} <= k_max = {k_max}", 0 < k <= k_max))
@@ -807,19 +828,26 @@ def _try_product(q: UniversalProblem, cc: CurveClass, kind: StabilityKind,
         ell = int(mu1) - 2
         if ell not in candidates:
             candidates.append(ell)
+    shifts = []
+    for ell in sorted(candidates):
+        shifted = shift_line_bundle(q, ell)
+        window = first_window(product_windows(q.g, q.n1, shifted.d1, q.n2,
+                                               shifted.d2, cc))
+        if window is not None:
+            shifts.append((ell, shifted, window))
+    if not shifts:
+        return None
     pair = {"n1": q.n1, "d1": q.d1, "n2": q.n2, "d2": q.d2}
     counts = {"beta_universal": beta_universal(q.g, q.n1, q.d1, q.n2, q.d2, q.k),
               "beta_tensor": beta_tensor(q.g, q.n1, q.d1, q.n2, q.d2, q.k)}
     pairs = _divisor_pairs(q.k)
-    for ell in sorted(candidates):
-        shifted = shift_line_bundle(q, ell)
-        standard = shifted.d1 < 2 * q.n1 and shifted.d2 <= 2 * q.g * q.n2
+    for ell, shifted, window in shifts:
         for k1, k2 in pairs:
             cert = _certify(RULE_PRODUCT, {
                 "g": q.g, "kind": kind.value, "cc": cc.value, "pair": pair,
                 "ell": ell, "k": q.k, "k1": k1, "k2": k2,
                 "d1_shifted": shifted.d1, "d2_shifted": shifted.d2,
-                "window": "standard" if standard else "relaxed", **counts},
+                "window": window, **counts},
                 certified=certified)
             if cert is not None:
                 return cert
@@ -837,7 +865,7 @@ def _try_kernel(q: UniversalProblem, cc: CurveClass, kind: StabilityKind,
     if n < 1:
         return None
     denom = d - n * (q.g - 1)
-    if denom <= 0:
+    if denom <= 0 or not _holds(kernel_premises(q.g, n, d, q.n2, q.d2, cc, kind)):
         return None
     lo = max(q.n1 + 1, q.n1 + rat_ceil(Fraction(q.k + n * q.d1, denom)))
     hi = q.n1 + max(q.d1, 0)

@@ -1,75 +1,23 @@
-"""Acceptance suite: ten end-to-end criteria, one printed line each.
+"""Acceptance suite: the ten criteria of `bnloci.selftest`, one test each.
 
 Each test records an "acceptance NN: PASS/FAIL" line; the lines are
 echoed in the terminal summary (see conftest) so they survive pytest's
-output capture.  All checks are exact rational or integer comparisons;
-no tolerances are needed anywhere.
+output capture.  All checks are exact; no tolerances are needed anywhere.
 """
 
 from __future__ import annotations
 
 import random
 from contextlib import contextmanager
-from fractions import Fraction as Q
 
-import pytest
-
-from bnloci import cli
-from bnloci.bncore import (
-    BNProblem,
-    UniversalProblem,
-    beta_universal,
-    beta_untwisted,
-    chi_pairing,
-    serre_dual_point,
-    serre_dual_problem,
-    shift_line_bundle,
-    slope_point,
-    swap_factors,
-    universal_serre_dual,
-)
-from bnloci.construct import (
-    ConstructError,
-    bpn_boundary,
-    bpn_membership,
-    bpn_new_points,
-    c6_enumerate,
-    kernel_beta_quadratic,
-    kernel_construct,
-    kernel_negativity_min_d,
-    product_construct,
-)
-from bnloci.oracle import (
-    CurveClass,
-    Status,
-    decide_untwisted,
-    small_slope_decide,
-    verify_decision,
-)
-from bnloci.regions import (
-    StabilityKind,
-    eta_hat,
-    eta_hat_prime,
-    fg_eval,
-    membership_BMNO,
-    membership_T,
-    tg_eval,
-)
-
-ANY = CurveClass.ANY_SMOOTH
-NONHYP = CurveClass.NON_HYPERELLIPTIC
-HYP = CurveClass.HYPERELLIPTIC
-STABLE = StabilityKind.STABLE
+from bnloci import selftest
+from bnloci.selftest import Checks
 
 # decisions emitted while running criteria 1-9, re-verified by criterion 10
 EMITTED = []
 
 # one line per criterion, echoed by the conftest terminal-summary hook
 REPORT_LINES = []
-
-
-def _collect(*decisions) -> None:
-    EMITTED.extend(decisions)
 
 
 @contextmanager
@@ -82,165 +30,53 @@ def report(num: int, detail: str):
     REPORT_LINES.append(f"acceptance {num:02d}: PASS - {detail}")
 
 
-def _envelope(g: int, x: Q) -> Q:
-    return max(tg_eval(g, x), fg_eval(g, x))
-
-
 def test_criterion_01_product_threshold():
     with report(1, "product pair count negative exactly from genus 6"):
-        for g in range(2, 13):
-            w = product_construct(g, BNProblem(g, 2, 3, 2), BNProblem(g, 2, 3, 2))
-            _collect(w.factor1_decision, w.factor2_decision)
-            assert w.k == 4
-            # normalized negativity coefficient, scaled by rank^4 = 16
-            normalized = 1 * (1 - 3 + (g - 1))
-            assert w.beta_universal == 8 * (g - 1) + 2 - 16 * normalized
-            assert w.beta_universal == -8 * g + 42
-            assert (w.beta_universal < 0) == (g >= 6)
-        assert product_construct(6, BNProblem(6, 2, 3, 2),
-                                 BNProblem(6, 2, 3, 2)).beta_universal == -6
+        EMITTED.extend(selftest.product_threshold(Checks()))
 
 
 def test_criterion_02_boundary_parabola():
     with report(2, "genus-10 boundary parabola matches on the 1/8 grid"):
-        g = 10
-        for i in range(1, 16):
-            mu = 2 + Q(i, 8)
-            expected = 1 + (mu - 2) / 10 + ((mu - 2) / 2) ** 2 / 100
-            query = bpn_boundary(g, mu)
-            assert query.boundary == expected
-            # a brute decomposition grid at step 1/64 never beats the
-            # boundary and the symmetric split realizes it exactly
-            best = Q(0)
-            for j in range(1, int(64 * min(2, mu))):
-                t = Q(j, 64)
-                if 0 < mu - t:
-                    best = max(best, _envelope(g, t) * _envelope(g, mu - t))
-            assert best <= query.boundary
-            assert _envelope(g, mu / 2) ** 2 == query.boundary
-            assert best == query.boundary
+        selftest.boundary_parabola(Checks())
 
 
 def test_criterion_03_new_point():
     with report(3, "(3, 441/400) lies beyond both classical regions"):
-        assert bpn_membership(10, 3, Q(441, 400)).member is True
-        assert tg_eval(10, 3) == 1
-        assert fg_eval(10, 3) == Q(11, 10)
-        for kind in StabilityKind:
-            assert not membership_T(10, 3, Q(441, 400), kind).inside
-            assert not membership_BMNO(10, 3, Q(441, 400), kind).inside
-        for g in range(5, 13):
-            assert bpn_new_points(g)
+        selftest.new_point(Checks())
 
 
 def test_criterion_04_kernel_family():
     with report(4, "kernel family quadratic and scan at (4,2,11,6,1,e=23)"):
-        quad = kernel_beta_quadratic(4, 2, 11, 6, 1, 23)
-        assert quad.a == -1
-        w = kernel_negativity_min_d(4, 2, 11, 6, 1, 23)
-        assert (w.d_min, w.beta) == (11, -7)
-        witness = kernel_construct(4, 2, 11, 6, 1, 11, 21)
-        _collect(witness.base_decision)
-        assert witness.k_max == 21 and witness.k == 21
-        for d in range(9, 51):
-            k = 4 * d - 23
-            assert quad(d) == beta_universal(4, 2, 11, d - 4, -d, k)
+        EMITTED.extend(selftest.kernel_family(Checks()))
 
 
 def test_criterion_05_threshold_oracles():
     with report(5, "threshold functions equal their brute-force definitions"):
-        for g in range(2, 21):
-            for s in range(1, g + 1):
-                assert eta_hat_prime(g, s) == next(
-                    d for d in range(0, 6 * g + 10)
-                    if beta_untwisted(g, 1, d + 1, s) >= 1)
-                assert eta_hat(g, s) == next(
-                    d for d in range(0, 6 * g + 10)
-                    if beta_untwisted(g, 1, d, s) >= 0)
-            assert eta_hat_prime(g, 1) == 0
-            assert eta_hat_prime(g, g) == 2 * g - 2
-            assert eta_hat(g, 1) == 0
+        selftest.threshold_oracles(Checks())
 
 
 def test_criterion_06_duality_invariances():
     with report(6, "10^4 randomized exact duality and symmetry identities"):
-        rng = random.Random(2026)
-        for _ in range(10_000):
-            g = rng.randint(2, 20)
-            n = rng.randint(1, 10)
-            d = rng.randint(-100, 100)
-            k = rng.randint(-60, 60)
-            q = serre_dual_problem(BNProblem(g, n, d, k))
-            assert beta_untwisted(g, q.n, q.d, q.k) == beta_untwisted(g, n, d, k)
-            pt = slope_point(Q(d, n), Q(k, n))
-            assert serre_dual_point(g, serre_dual_point(g, pt)) == pt
-            n2 = rng.randint(1, 10)
-            d2 = rng.randint(-100, 100)
-            u = UniversalProblem(g, n, d, n2, d2, k)
-            v = universal_serre_dual(u)
-            assert beta_universal(g, v.n1, v.d1, v.n2, v.d2, v.k) == \
-                beta_universal(g, n, d, n2, d2, k)
-            w = swap_factors(u)
-            assert chi_pairing(g, w.n1, w.d1, w.n2, w.d2) == \
-                chi_pairing(g, n, d, n2, d2)
-            assert beta_universal(g, w.n1, w.d1, w.n2, w.d2, w.k) == \
-                beta_universal(g, n, d, n2, d2, k)
-            sh = shift_line_bundle(u, rng.randint(-5, 5))
-            assert chi_pairing(g, sh.n1, sh.d1, sh.n2, sh.d2) == \
-                chi_pairing(g, n, d, n2, d2)
-            assert beta_universal(g, sh.n1, sh.d1, sh.n2, sh.d2, sh.k) == \
-                beta_universal(g, n, d, n2, d2, k)
+        check = Checks()
+        selftest.duality_invariances(check, random.Random(2026), 10_000)
+        assert check.count == 70_000
 
 
 def test_criterion_07_degree_counts():
     with report(7, "admissible-degree counts and genus-2 rejection"):
-        for n1 in range(3, 11):
-            assert len(c6_enumerate(3, n1, n1 + 2)) == n1 - 2
-        assert c6_enumerate(3, 2, 4) == []
-        assert c6_enumerate(4, 2, 6) == [11]
-        with pytest.raises(ConstructError):
-            c6_enumerate(2, 3, 5)
+        selftest.degree_counts(Checks())
 
 
 def test_criterion_08_known_and_special_cases():
     with report(8, "known emptiness and canonical / hyperelliptic cases"):
-        known = decide_untwisted(BNProblem(3, 2, 6, 4), ANY, STABLE)
-        _collect(known)
-        assert known.status is Status.EMPTY and known.beta == 1
-        for g in range(3, 11):
-            canonical = decide_untwisted(BNProblem(g, g - 1, 2 * g - 2, g),
-                                         NONHYP, STABLE)
-            _collect(canonical)
-            assert canonical.status is Status.NONEMPTY
-        for g in range(2, 9):
-            for n in range(2, 6):
-                for k in range(n + 1, n + 4):
-                    dec = decide_untwisted(BNProblem(g, n, 2 * n, k), HYP, STABLE)
-                    _collect(dec)
-                    assert dec.status is Status.EMPTY
+        EMITTED.extend(selftest.known_and_special_cases(Checks()))
 
 
 def test_criterion_09_small_slope_equivalence():
     with report(9, "exhaustive small-slope window agrees with the count curve"):
-        for g in range(2, 13):
-            for n in range(2, 9):
-                for d in range(1, 2 * n):
-                    lo, hi = -3, 2 * n + 3
-                    assert Q(hi, n) > fg_eval(g, Q(d, n))
-                    for k in range(lo, hi + 1):
-                        dec = small_slope_decide(g, n, d, k, ANY)
-                        _collect(dec)
-                        predicted = (Q(k, n) <= fg_eval(g, Q(d, n))
-                                     and (d, k) != (n, n))
-                        assert (dec.status is Status.NONEMPTY) == predicted
+        EMITTED.extend(selftest.small_slope_equivalence(Checks()))
 
 
-def test_criterion_10_certificate_soundness(capsys):
-    with report(10, "all emitted decisions re-verify and selftest exits 0"):
-        assert EMITTED
-        assert all(verify_decision(dec) for dec in EMITTED)
-        assert all(dec.certificates for dec in EMITTED
-                   if dec.status is not Status.UNKNOWN)
-        assert cli.main(["selftest"]) == 0
-        out = capsys.readouterr().out
-        assert "selftest passed" in out
+def test_criterion_10_certificate_soundness():
+    with report(10, "all emitted and 400 seeded random decisions re-verify"):
+        selftest.certificate_soundness(Checks(), random.Random(2026), EMITTED)

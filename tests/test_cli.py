@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from bnloci import cli
+from bnloci import cli, selftest
 from timing import time_limit
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -284,15 +284,6 @@ UNIVERSAL = ["decide", "--genus", "6", "--sections"]
     (["enumerate", "--genus", "100000000", "--rank", "3", "--sections", "5"],
      "rank 3 at genus 100000000: up to 299999997 candidate degrees, "
      "at most 1000000 allowed"),
-    (UNIVERSAL + ["5", "--p1", "2,1000000000000", "--p2", "2,-8"],
-     "universal search loop over 666666666666 kernel base section counts "
-     "passed its limit of 50000 steps"),
-    (UNIVERSAL + ["5", "--p1", "2,-1000000000000", "--p2", "2,3"],
-     "universal search loop over 1414213 trial divisors passed its limit of "
-     "50000 steps"),
-    (UNIVERSAL + ["5", "--p1", "2,1000000", "--p2", "2,-8"],
-     "universal search loop over 666666 kernel base section counts passed its "
-     "limit of 50000 steps"),
     (["decide", "--genus", "10000000", "--rank", "2", "--degree", "3",
       "--sections", "1"],
      "genus 10000000 is above 100000, the largest this command builds region "
@@ -308,8 +299,7 @@ UNIVERSAL = ["decide", "--genus", "6", "--sections"]
      "genus 100001 is above 100000, the largest this command builds region "
      "tables for"),
 ], ids=["product-negativity", "enumerate-wide-range", "enumerate-large-genus-range",
-        "enumerate-huge-genus", "universal-kernel-loop", "universal-divisors",
-        "universal-kernel-loop-1e6", "decide-genus", "bpn-genus", "product-genus",
+        "enumerate-huge-genus", "decide-genus", "bpn-genus", "product-genus",
         "kernel-genus"])
 def test_unbounded_work_exits_at_once(capsys, argv, message):
     with time_limit(10):
@@ -317,6 +307,42 @@ def test_unbounded_work_exits_at_once(capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("p1, p2, status, rules", [
+    ("2,1000000", "2,-8", "Nonempty", ["TwistedScaling"]),
+    ("2,1000000000000", "2,-8", "Nonempty", ["TwistedScaling"]),
+    ("2,-1000000000000", "2,3", "Unknown", []),
+], ids=["kernel-window-1e6", "kernel-window-1e12", "product-no-window"])
+def test_universal_search_skips_constructions_without_a_window(capsys, p1, p2,
+                                                               status, rules):
+    # the kernel twist d = 8 is below 2ng = 12, and no product shift of the
+    # huge degrees has a slope window, so neither k1 loop nor trial division runs
+    with time_limit(10):
+        code, doc = run_json(capsys, UNIVERSAL + ["5", "--p1", p1, "--p2", p2])
+    assert code == 0
+    assert doc["decision"]["status"] == status
+    assert [c["rule"] for c in doc["decision"]["certificates"]] == rules
+    assert doc["verified"] is True
+
+
+def test_plot_without_samples_exits_before_any_work(capsys):
+    with time_limit(10):
+        assert cli.main(["plot", "--genus", "1000000000", "--samples-per-unit", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: samples_per_unit must be >= 1\n"
+
+
+def test_unwritable_out_exits_one(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    argv = ["beta", "--genus", "3", "--rank", "1", "--degree", "1", "--sections", "1",
+            "--out", str(target)]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {target}: No such file or directory\n"
+    assert not target.parent.exists()
 
 
 def test_kernel_negativity_of_a_large_family_answers_at_once(capsys):
@@ -376,8 +402,32 @@ def test_out_writes_file(tmp_path, capsys):
 def test_selftest_passes(capsys):
     code, out = run(capsys, ["selftest", "--trials", "300"])
     assert code == 0
-    assert "selftest passed" in out
+    lines = out.splitlines()
+    assert [line.split(" (")[0] for line in lines[:-1]] == [
+        "ok 01 product threshold", "ok 02 boundary parabola", "ok 03 new point",
+        "ok 04 kernel family", "ok 05 threshold oracles", "ok 06 duality invariances",
+        "ok 07 degree counts", "ok 08 known and special cases",
+        "ok 09 small slope equivalence", "ok 10 certificate soundness"]
+    assert "ok 06 duality invariances (2100 checks)" in lines
+    assert lines[-1].startswith("selftest passed (")
     assert run(capsys, ["selftest", "--trials", "0"])[0] == 1
+
+
+def test_selftest_reports_the_first_failed_check(capsys, monkeypatch):
+    monkeypatch.setattr(selftest, "c6_enumerate", lambda g, n1, k1: [])
+    code, out = run(capsys, ["selftest", "--trials", "1"])
+    assert code == 2
+    assert out.splitlines()[-2:] == ["ok 06 duality invariances (7 checks)",
+                                     "FAIL 07 degree counts: degree count moved at 3"]
+
+
+def test_huge_exponent_is_refused_before_it_is_expanded(capsys):
+    with time_limit(10):
+        assert cli.main(["bpn", "--genus", "10", "--mu", "1e10000000", "--boundary"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == ("bnloci bpn: error: argument --mu: exponent "
+                                             "of '1e10000000' has more than 6 digits")
 
 
 def test_verification_failure_exits_two(capsys, monkeypatch):

@@ -475,8 +475,9 @@ def test_search_loops_stop_at_their_limit(monkeypatch):
     # a search that ends inside every limit keeps its answer
     assert decide_universal(UniversalProblem(6, 2, 30, 2, -8, 5), ANY,
                             STABLE).status is Status.NONEMPTY
-    with pytest.raises(ValueError, match="loop over 666 kernel base section counts"):
-        decide_universal(UniversalProblem(6, 2, 1000, 2, -8, 5), ANY, STABLE)
+    # d = 13 > 2ng = 12: the kernel window holds, so its k1 loop runs
+    with pytest.raises(ValueError, match="loop over 12 kernel base section counts"):
+        decide_universal(UniversalProblem(6, 2, 20, 7, -13, 50), ANY, STABLE)
 
 
 # ---------------------------------------------------------------------------
