@@ -70,6 +70,18 @@ Handler = Callable[[argparse.Namespace], tuple[str, bool]]
 # argument parsing helpers
 
 
+# the most digits a number read or printed may have: Python refuses to turn
+# a longer integer into text (sys.get_int_max_str_digits, 4300 by default)
+MAX_DIGITS = 4300
+_TOO_LONG = 10 ** MAX_DIGITS
+
+
+def _too_long(value: Any) -> bool:
+    """True when an int or Fraction has a part of more than MAX_DIGITS digits."""
+    return (isinstance(value, (int, Fraction))
+            and max(abs(value.numerator), value.denominator) >= _TOO_LONG)
+
+
 def _fraction(text: str) -> Fraction:
     # Fraction builds 10**e exactly for a written exponent e (on a 2-vCPU Xeon
     # VM 0.4 s at e = 10**6 - 1, 16 s at e = 10**7), so e stops below 10**6
@@ -77,10 +89,14 @@ def _fraction(text: str) -> Fraction:
     if exponent and len(exponent.group(1).replace("_", "").lstrip("0")) > 6:
         raise argparse.ArgumentTypeError(f"exponent of {text!r} has more than 6 digits")
     try:
-        return Fraction(text)
+        value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(
             f"expected a rational like 3 or 5/8, got {text!r}") from exc
+    if _too_long(value):
+        raise argparse.ArgumentTypeError(
+            f"{text!r} has a numerator or denominator of 10^{MAX_DIGITS} or more")
+    return value
 
 
 def _int_tuple(text: str, arity: int, shape: str) -> tuple[int, ...]:
@@ -117,8 +133,14 @@ def _kind(args: argparse.Namespace) -> StabilityKind:
 # output helpers
 
 
-def _plain(value: Any) -> Any:
-    """Render exact values for JSON: fractions as 'p/q', problems as dicts."""
+def _plain(value: Any, name: str = "") -> Any:
+    """Render exact values for JSON: fractions as 'p/q', problems as dicts.
+
+    A number past MAX_DIGITS is refused, named by its path in the output.
+    """
+    if _too_long(value):
+        raise ValueError(f"output {name} has more than {MAX_DIGITS} digits, "
+                         "more than can be printed")
     if isinstance(value, Fraction):
         return str(value)
     if isinstance(value, BNProblem):
@@ -128,11 +150,11 @@ def _plain(value: Any) -> Any:
         return {"genus": value.g, "n1": value.n1, "d1": value.d1,
                 "n2": value.n2, "d2": value.d2, "sections": value.k}
     if isinstance(value, Decision):
-        return decision_to_json(value)
+        return _plain(decision_to_json(value), name)
     if isinstance(value, dict):
-        return {k: _plain(v) for k, v in value.items()}
+        return {k: _plain(v, f"{name}.{k}" if name else k) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
+        return [_plain(v, f"{name}[{i}]") for i, v in enumerate(value)]
     return value
 
 
@@ -144,11 +166,14 @@ def _csv_text(header: list[str], rows: list[list[Any]]) -> str:
     buf = io.StringIO()
     buf.write(",".join(header) + "\n")
     for row in rows:
-        buf.write(",".join(_cell(v) for v in row) + "\n")
+        buf.write(",".join(_cell(v, name) for v, name in zip(row, header)) + "\n")
     return buf.getvalue()
 
 
-def _cell(value: Any) -> str:
+def _cell(value: Any, name: str) -> str:
+    if _too_long(value):
+        raise ValueError(f"output column {name} has more than {MAX_DIGITS} digits, "
+                         "more than can be printed")
     if isinstance(value, Fraction):
         return str(value)
     if isinstance(value, float):

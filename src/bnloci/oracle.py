@@ -13,7 +13,10 @@ and small_slope_decide reads its small-slope rows.  The universal search
 calls the construction judges directly.  The verifier calls the same
 judges on stored parameters, so a stored certificate re-derives its
 premises and its conclusion, and a decision must state exactly what its
-certificates conclude.
+certificates conclude.  A rule resting on other loci (a wrapper, or a
+product or kernel construction) reads their certificates from
+params["inner"] and checks only what each is about; no judge decides
+anything, so verification never calls a decider.
 
 Unknown is an honest output: several of the underlying statements are
 one-directional, and the rank > 1 existence problem is open in general.
@@ -119,6 +122,9 @@ class Verdict(NamedTuple):
     conclusion: Optional[Conclusion]
     # the certificates the rule relies on, stored under params["inner"]
     nested: tuple[Certificate, ...] = ()
+    # positions in nested of the certificates about each factor locus of a
+    # construction; each group must conclude Nonempty at this rank
+    groups: tuple[tuple[int, ...], ...] = ()
 
 
 def _holds(premises: list[Premise]) -> bool:
@@ -126,10 +132,11 @@ def _holds(premises: list[Premise]) -> bool:
 
 
 def _verdict(premises: list[Premise], conclusion: Optional[Conclusion],
-             nested: Any = ()) -> Optional[Verdict]:
+             nested: Any = (), groups: tuple[tuple[int, ...], ...] = ()
+             ) -> Optional[Verdict]:
     if not _holds(premises):
         return None
-    return Verdict(tuple(premises), conclusion, tuple(nested))
+    return Verdict(tuple(premises), conclusion, tuple(nested), groups)
 
 
 def _summary(conclusions: list[Conclusion]) -> Optional[Conclusion]:
@@ -153,7 +160,9 @@ def _conclusion(cert: Certificate) -> Optional[Conclusion]:
 
     The judge of its rule must rebuild the stored premises exactly, with
     every premise holding, and the nested certificates must be the ones
-    the rule relies on and must re-check in turn.
+    the rule relies on and must re-check in turn, each once.  The
+    certificates about each factor of a construction must together
+    conclude Nonempty at this rank.
     """
     judge = _JUDGES.get(cert.rule) if isinstance(cert, Certificate) else None
     if judge is None:
@@ -166,7 +175,8 @@ def _conclusion(cert: Certificate) -> Optional[Conclusion]:
     except Exception:
         return None
     nested = [_conclusion(c) for c in verdict.nested]
-    if None in nested:
+    if None in nested or any(_summary([nested[i] for i in group]) != _NONEMPTY
+                             for group in verdict.groups):
         return None
     return verdict.conclusion or _summary(nested)
 
@@ -218,18 +228,49 @@ def _universal_params(p: UniversalProblem) -> dict:
     return {"g": p.g, "n1": p.n1, "d1": p.d1, "n2": p.n2, "d2": p.d2, "k": p.k}
 
 
-# where the product and kernel judges get their factor certificates from
-Certified = Callable[[BNProblem, CurveClass, StabilityKind],
-                     Optional[tuple[Certificate, ...]]]
+_UNTWISTED_KEYS = ("g", "n", "d", "k")
+_UNIVERSAL_KEYS = ("g", "n1", "d1", "n2", "d2", "k")
+# the parameter naming the problem a wrapper's inner certificates are about
+_WRAPPED = {RULE_SERRE_DUAL_OF: "dual", RULE_SWAPPED_OF: "swapped",
+            RULE_LINE_REDUCTION: "reduced"}
 
 
-def _certified_here(p: BNProblem, cc: CurveClass,
-                    kind: StabilityKind) -> Optional[tuple[Certificate, ...]]:
-    """The certificates of p's decision when it is Nonempty at this rank."""
-    dec = decide_untwisted(p, cc, kind)
-    if dec.status is Status.NONEMPTY and dec.scope is Scope.THIS_RANK:
-        return dec.certificates
-    return None
+def _about(cert: Certificate, problem: dict, cc: Optional[str] = None,
+           kind: Optional[str] = None) -> bool:
+    """True when cert records problem (TrivialKNonpositive records only k),
+    or wraps certificates about what problem reflects, swaps or reduces to.
+    Given cc and kind, a recorded curve class must be cc and a recorded
+    kind kind or stable, since stable bundles are semistable."""
+    params, rule = cert.params, cert.rule
+    if cc is not None and params.get("cc", cc) != cc:
+        return False
+    if kind is not None and params.get("kind", kind) not in (kind, "stable"):
+        return False
+    if rule in _WRAPPED:
+        target = params[_WRAPPED[rule]]
+        return params["problem"] == problem and all(
+            _about(c, target, cc, kind) for c in params["inner"])
+    if rule == RULE_TRIVIAL:
+        return params["k"] == problem["k"]
+    if rule == RULE_PRODUCT:
+        return {"g": params["g"], **params["pair"], "k": params["k"]} == problem
+    if rule == RULE_TWISTED_SCALING and params["variant"] != "direct":
+        return False  # it counts the Serre-reflected pair, not the one it records
+    keys = (_UNIVERSAL_KEYS if rule in (RULE_KERNEL, RULE_TWISTED_SCALING)
+            else _UNTWISTED_KEYS)
+    return {key: params[key] for key in keys} == problem
+
+
+def _factor_groups(params: dict, factors: tuple[BNProblem, ...]
+                   ) -> Optional[tuple[tuple[int, ...], ...]]:
+    """Positions in params["inner"] of the certificates about each factor;
+    None unless each factor has one and each certificate is about one."""
+    inner, cc, kind = params["inner"], params["cc"], params["kind"]
+    groups = tuple(tuple(i for i, c in enumerate(inner) if _about(c, problem, cc, kind))
+                   for problem in map(_problem_params, factors))
+    if not all(groups) or len(set().union(*groups)) != len(inner):
+        return None
+    return groups
 
 
 # ---------------------------------------------------------------------------
@@ -379,8 +420,15 @@ def _known_empty(params: dict) -> Optional[Verdict]:
                              "known-empty table", holds)], _EMPTY)
 
 
+def _wraps(params: dict, target: str) -> bool:
+    """True when every wrapped certificate is about params[target]."""
+    return all(_about(c, params[target]) for c in params["inner"])
+
+
 def _serre_dual_of(params: dict) -> Optional[Verdict]:
     prob, dual = params["problem"], params["dual"]
+    if not _wraps(params, "dual"):
+        return None
     if "n1" in prob:
         expect = _universal_params(universal_serre_dual(UniversalProblem(**prob)))
     else:
@@ -391,6 +439,8 @@ def _serre_dual_of(params: dict) -> Optional[Verdict]:
 
 def _swapped_of(params: dict) -> Optional[Verdict]:
     prob, swapped = params["problem"], params["swapped"]
+    if not _wraps(params, "swapped"):
+        return None
     q = swap_factors(UniversalProblem(**prob))
     return _verdict([Premise(f"swapped data {swapped} matches the factor exchange "
                              f"of {prob}", _universal_params(q) == swapped)],
@@ -399,6 +449,8 @@ def _swapped_of(params: dict) -> Optional[Verdict]:
 
 def _line_reduction(params: dict) -> Optional[Verdict]:
     prob, reduced = params["problem"], params["reduced"]
+    if not _wraps(params, "reduced"):
+        return None
     p = UniversalProblem(**prob)
     prem = [Premise(f"one moving factor has rank one ({p.n1}, {p.n2})",
                     p.n1 == 1 or p.n2 == 1)]
@@ -474,10 +526,10 @@ def first_window(windows: dict[str, list[Premise]]) -> Optional[str]:
     return next((name for name, prem in windows.items() if _holds(prem)), None)
 
 
-def _product(params: dict, certified: Certified = _certified_here) -> Optional[Verdict]:
+def _product_frame(params: dict) -> tuple[list[Premise], tuple[BNProblem, ...]]:
+    """The product premises that do not involve the factor loci, and the
+    two factors: the shifted pair with k1 and k2 sections."""
     g = params["g"]
-    kind = StabilityKind(params["kind"])
-    cc = CurveClass(params["cc"])
     pair = params["pair"]
     n1, d1, n2, d2 = pair["n1"], pair["d1"], pair["n2"], pair["d2"]
     ell, k, k1, k2 = params["ell"], params["k"], params["k1"], params["k2"]
@@ -490,24 +542,27 @@ def _product(params: dict, certified: Certified = _certified_here) -> Optional[V
         Premise(f"factor degrees {d1s}, {d2s} and section counts {k1}, {k2} "
                 "all >= 1", d1s >= 1 and d2s >= 1 and k1 >= 1 and k2 >= 1),
     ]
-    windows = product_windows(g, n1, d1s, n2, d2s, cc)
+    windows = product_windows(g, n1, d1s, n2, d2s, CurveClass(params["cc"]))
     prem += windows["standard" if params["window"] == "standard" else "relaxed"]
-    if not _holds(prem):
+    return prem, (BNProblem(g, n1, d1s, k1), BNProblem(g, n2, d2s, k2))
+
+
+def _product(params: dict) -> Optional[Verdict]:
+    prem, factors = _product_frame(params)
+    groups = _factor_groups(params, factors) if _holds(prem) else None
+    if groups is None:
         return None
-    nested: list[Certificate] = []
-    for which, n, ds, ks in (("first", n1, d1s, k1), ("second", n2, d2s, k2)):
-        certs = certified(BNProblem(g, n, ds, ks), cc, kind)
-        if certs is None:
-            return None
-        prem.append(Premise(f"{which} factor ({n}, {ds}, {ks}) certified nonempty "
+    for which, f in zip(("first", "second"), factors):
+        prem.append(Premise(f"{which} factor ({f.n}, {f.d}, {f.k}) certified nonempty "
                             "at this rank", True))
-        nested += certs
+    g, pair, k = params["g"], params["pair"], params["k"]
+    n1, d1, n2, d2 = pair["n1"], pair["d1"], pair["n2"], pair["d2"]
     bu, bt = params["beta_universal"], params["beta_tensor"]
     prem.append(Premise(f"universal count {bu} matches recomputation",
                         beta_universal(g, n1, d1, n2, d2, k) == bu))
     prem.append(Premise(f"tensor count {bt} matches recomputation",
                         beta_tensor(g, n1, d1, n2, d2, k) == bt))
-    return _verdict(prem, _NONEMPTY, nested)
+    return _verdict(prem, _NONEMPTY, params["inner"], groups)
 
 
 def kernel_premises(g: int, n: int, d: int, n2: int, d2: int, cc: CurveClass,
@@ -530,30 +585,33 @@ def kernel_premises(g: int, n: int, d: int, n2: int, d2: int, cc: CurveClass,
     return prem
 
 
-def _kernel(params: dict, certified: Certified = _certified_here) -> Optional[Verdict]:
+def _kernel_frame(params: dict) -> tuple[list[Premise], tuple[BNProblem, ...]]:
+    """The kernel premises that do not involve the base locus, and the base."""
     g = params["g"]
-    kind = StabilityKind(params["kind"])
-    cc = CurveClass(params["cc"])
     n1, d1, k1 = params["n1"], params["d1"], params["k1"]
     n, d, k = params["n"], params["d"], params["k"]
-    n2, d2 = params["n2"], params["d2"]
     k_max = (d - n * (g - 1)) * (k1 - n1) - n * d1
     prem = [Premise(f"n1 = {n1} >= 2 and k1 = {k1} > n1", n1 >= 2 and k1 > n1),
-            *kernel_premises(g, n, d, n2, d2, cc, kind)]
+            *kernel_premises(g, n, d, params["n2"], params["d2"],
+                             CurveClass(params["cc"]), StabilityKind(params["kind"]))]
     prem.append(Premise(f"section budget k_max = {k_max} matches "
                         f"(d - n(g-1))(k1 - n1) - n*d1", k_max == params["k_max"]))
     prem.append(Premise(f"0 < k = {k} <= k_max = {k_max}", 0 < k <= k_max))
-    if not _holds(prem):
+    return prem, (BNProblem(g, n1, d1, k1),)
+
+
+def _kernel(params: dict) -> Optional[Verdict]:
+    prem, (base,) = _kernel_frame(params)
+    groups = _factor_groups(params, (base,)) if _holds(prem) else None
+    if groups is None:
         return None
-    base = certified(BNProblem(g, n1, d1, k1), cc, kind)
-    if base is None:
-        return None
-    prem.append(Premise(f"base locus ({n1}, {d1}, {k1}) certified nonempty at "
-                        "this rank", True))
+    prem.append(Premise(f"base locus ({base.n}, {base.d}, {base.k}) certified nonempty "
+                        "at this rank", True))
+    g, n1, d1, n2, d2, k = (params[key] for key in _UNIVERSAL_KEYS)
     bu = params["beta_universal"]
     prem.append(Premise(f"universal count {bu} matches recomputation",
                         beta_universal(g, n1, d1, n2, d2, k) == bu))
-    return _verdict(prem, _NONEMPTY, base)
+    return _verdict(prem, _NONEMPTY, params["inner"], groups)
 
 
 # ---------------------------------------------------------------------------
@@ -654,19 +712,14 @@ def _first(p: BNProblem, cc: CurveClass, kind: StabilityKind,
     return None
 
 
-def _certify(rule: str, params: dict, **context: Any) -> Optional[Certificate]:
+def _certify(rule: str, params: dict) -> Optional[Certificate]:
     """The certificate of a rule at params, None when the rule does not apply.
 
-    Certificates the rule relies on are stored under params["inner"].
-    Keyword context goes to the judge; the construction judges take
-    `certified`, the source of their factor certificates.
+    The certificates the rule relies on are already under params["inner"];
+    the judge checks what they are about, not what they conclude.
     """
-    verdict = _JUDGES[rule](params, **context)
-    if verdict is None:
-        return None
-    if verdict.nested:
-        params["inner"] = list(verdict.nested)
-    return Certificate(rule, params, verdict.premises)
+    verdict = _JUDGES[rule](params)
+    return None if verdict is None else Certificate(rule, params, verdict.premises)
 
 
 # ---------------------------------------------------------------------------
@@ -814,11 +867,18 @@ def _wrap_chain(cert: Certificate, ops: list[str],
     return cert
 
 
-def _try_product(q: UniversalProblem, cc: CurveClass, kind: StabilityKind,
-                 certified: Certified) -> Optional[Certificate]:
+# a construction's candidate: its rule, its parameters without "inner", and
+# the factor loci whose certificates go there
+Candidate = tuple[str, dict, tuple[BNProblem, ...]]
+
+
+def _product_candidates(q: UniversalProblem, cc: CurveClass,
+                        kind: StabilityKind) -> Iterator[Candidate]:
+    """Product candidates for q in search order, those whose premises
+    outside the factor loci hold."""
     mu1 = Fraction(q.d1, q.n1)
     if q.n1 < 2 or q.n2 < 2:
-        return None
+        return
     candidates: list[int] = []
     base = rat_ceil(mu1)
     for ell in (base - 2, base - 1):
@@ -836,49 +896,50 @@ def _try_product(q: UniversalProblem, cc: CurveClass, kind: StabilityKind,
         if window is not None:
             shifts.append((ell, shifted, window))
     if not shifts:
-        return None
+        return
     pair = {"n1": q.n1, "d1": q.d1, "n2": q.n2, "d2": q.d2}
     counts = {"beta_universal": beta_universal(q.g, q.n1, q.d1, q.n2, q.d2, q.k),
               "beta_tensor": beta_tensor(q.g, q.n1, q.d1, q.n2, q.d2, q.k)}
     pairs = _divisor_pairs(q.k)
     for ell, shifted, window in shifts:
         for k1, k2 in pairs:
-            cert = _certify(RULE_PRODUCT, {
+            params = {
                 "g": q.g, "kind": kind.value, "cc": cc.value, "pair": pair,
                 "ell": ell, "k": q.k, "k1": k1, "k2": k2,
                 "d1_shifted": shifted.d1, "d2_shifted": shifted.d2,
-                "window": window, **counts},
-                certified=certified)
-            if cert is not None:
-                return cert
-    return None
+                "window": window, **counts}
+            prem, factors = _product_frame(params)
+            if _holds(prem):
+                yield RULE_PRODUCT, params, factors
 
 
-def _try_kernel(q: UniversalProblem, cc: CurveClass, kind: StabilityKind,
-                certified: Certified) -> Optional[Certificate]:
+def _kernel_candidates(q: UniversalProblem, cc: CurveClass,
+                       kind: StabilityKind) -> Iterator[Candidate]:
+    """Kernel candidates for q in search order, those whose premises
+    outside the base locus hold."""
     if q.n1 < 2 or q.d2 >= 0:
-        return None
+        return
     d = -q.d2
     if (d - q.n2) % q.g != 0:
-        return None
+        return
     n = (d - q.n2) // q.g
     if n < 1:
-        return None
+        return
     denom = d - n * (q.g - 1)
     if denom <= 0 or not _holds(kernel_premises(q.g, n, d, q.n2, q.d2, cc, kind)):
-        return None
+        return
     lo = max(q.n1 + 1, q.n1 + rat_ceil(Fraction(q.k + n * q.d1, denom)))
     hi = q.n1 + max(q.d1, 0)
     bu = beta_universal(q.g, q.n1, q.d1, q.n2, q.d2, q.k)
     for k1 in _bounded(range(lo, hi + 1), "kernel base section counts"):
-        cert = _certify(RULE_KERNEL, {
+        params = {
             "g": q.g, "kind": kind.value, "cc": cc.value,
             "n1": q.n1, "d1": q.d1, "k1": k1, "n": n, "d": d, "k": q.k,
             "n2": q.n2, "d2": q.d2, "k_max": denom * (k1 - q.n1) - n * q.d1,
-            "beta_universal": bu}, certified=certified)
-        if cert is not None:
-            return cert
-    return None
+            "beta_universal": bu}
+        prem, factors = _kernel_frame(params)
+        if _holds(prem):
+            yield RULE_KERNEL, params, factors
 
 
 def _try_scaling(q: UniversalProblem, cc: CurveClass,
@@ -910,12 +971,11 @@ def decide_universal(p: UniversalProblem, cc: CurveClass,
     through the presentation chain.  All three constructions are
     one-directional, so the fall-through answer is Unknown.
 
-    The product and kernel constructions certify their factors with
-    decide_untwisted, and the presentations share many of them; each
-    distinct factor is decided once per search, and its outcome, a
-    failed one too, is reused for the rest of that search only.
-    Verification still re-decides every factor from its stored
-    parameters.
+    This is the only place that decides the factor loci of the product
+    and kernel constructions, once a candidate's other premises hold; their
+    certificates become its inner ones.  Each distinct factor is decided
+    once per search, and its outcome, a failed one too, is reused for the
+    rest of that search only.
     """
     check_curve_class(p.g, cc)
     beta = beta_universal(p.g, p.n1, p.d1, p.n2, p.d2, p.k)
@@ -933,18 +993,28 @@ def decide_universal(p: UniversalProblem, cc: CurveClass,
             "reduced": _problem_params(reduced),
             "inner": list(inner.certificates)})
         return Decision(inner.status, inner.scope, beta, (cert,))
-    # cc and kind are fixed for the search, so the factor alone is the key
+    # cc and kind are fixed for the search, so the factor alone is the key;
+    # a factor maps to its certificates, or to None unless Nonempty at this rank
     decided: dict[BNProblem, Optional[tuple[Certificate, ...]]] = {}
 
-    def certified(factor: BNProblem, cc: CurveClass,
-                  kind: StabilityKind) -> Optional[tuple[Certificate, ...]]:
-        if factor not in decided:
-            decided[factor] = _certified_here(factor, cc, kind)
-        return decided[factor]
+    def constructed(rule: str, params: dict,
+                    factors: tuple[BNProblem, ...]) -> Optional[Certificate]:
+        inner: list[Certificate] = []
+        for factor in factors:
+            if factor not in decided:
+                dec = decide_untwisted(factor, cc, kind)
+                decided[factor] = (dec.certificates
+                                   if (dec.status, dec.scope) == _NONEMPTY else None)
+            if decided[factor] is None:
+                return None
+            inner += decided[factor]
+        return _certify(rule, {**params, "inner": inner})
 
     for q, ops, chain in _presentations(p):
-        cert = (_try_product(q, cc, kind, certified) or _try_kernel(q, cc, kind, certified)
-                or _try_scaling(q, cc, kind))
+        built = (constructed(*candidate)
+                 for candidates in (_product_candidates, _kernel_candidates)
+                 for candidate in candidates(q, cc, kind))
+        cert = next(filter(None, built), None) or _try_scaling(q, cc, kind)
         if cert is not None:
             wrapped = _wrap_chain(cert, ops, chain)
             return Decision(Status.NONEMPTY, Scope.THIS_RANK, beta, (wrapped,))

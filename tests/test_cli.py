@@ -430,6 +430,33 @@ def test_huge_exponent_is_refused_before_it_is_expanded(capsys):
                                              "of '1e10000000' has more than 6 digits")
 
 
+def test_rational_of_too_many_digits_is_refused(capsys):
+    # Python cannot print an integer of more than 4300 digits
+    assert cli.main(["bpn", "--genus", "10", "--mu", "3", "--lam", "1e-5000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        "bnloci bpn: error: argument --lam: '1e-5000' has a numerator or "
+        "denominator of 10^4300 or more")
+    assert cli.main(["bpn", "--genus", "10", "--mu", "3", "--lam", "1e-4299"]) == 0
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["product", "--genus", "6", "--negativity", "--mu1=-9e4299", "--lam1", "1",
+      "--mu2=9e4299", "--lam2", "1"], "d1"),
+    (["bpn", "--genus", "5", "--new-points", "--format", "csv",
+      "--step", f"{10**4298 + 1}/{10**4298}"], "column boundary"),
+    (["bpn", "--genus", "5", "--new-points",
+      "--step", f"{10**4298 + 1}/{10**4298}"], "points[0].boundary"),
+])
+def test_output_number_of_too_many_digits_is_named(capsys, argv, name):
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: output {name} has more than 4300 digits, "
+                            "more than can be printed\n")
+
+
 def test_verification_failure_exits_two(capsys, monkeypatch):
     monkeypatch.setattr(cli, "verify_decision", lambda dec: False)
     code, doc = run_json(capsys, ["decide", "--genus", "4", "--rank", "2",

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bnloci import oracle
+from bnloci import oracle, selftest
 from bnloci.bncore import (
     BNProblem,
     UniversalProblem,
@@ -23,8 +23,11 @@ from bnloci.bncore import (
     beta_twisted,
     beta_universal,
     beta_untwisted,
+    clifford_excess,
     serre_dual_problem,
     shift_line_bundle,
+    slope_point,
+    tensor_problem,
 )
 from bnloci.exactq import rat_ceil
 from bnloci.oracle import (
@@ -60,6 +63,7 @@ from bnloci.oracle import (  # the search internals the reference below reuses
     _wrap_chain,
 )
 from bnloci.regions import StabilityKind, fg_eval
+from bnloci.selftest import Checks
 
 STABLE = StabilityKind.STABLE
 SEMI = StabilityKind.SEMISTABLE
@@ -306,8 +310,19 @@ def test_universal_trivial_and_unknown():
 
 
 # reference: the universal search before it kept its factor decisions,
-# kept verbatim as an oracle; every product and kernel candidate decides
-# its factors afresh through the judges' default
+# kept as an oracle; every product and kernel candidate decides its
+# factors afresh and hands their certificates to the judge
+
+
+def _ref_inner(factors: list[BNProblem], cc: CurveClass,
+               kind: StabilityKind) -> Optional[list[Certificate]]:
+    inner: list[Certificate] = []
+    for factor in factors:
+        dec = decide_untwisted(factor, cc, kind)
+        if (dec.status, dec.scope) != (Status.NONEMPTY, Scope.THIS_RANK):
+            return None
+        inner += dec.certificates
+    return inner
 
 
 def _ref_try_product(q: UniversalProblem, cc: CurveClass,
@@ -331,11 +346,16 @@ def _ref_try_product(q: UniversalProblem, cc: CurveClass,
         shifted = shift_line_bundle(q, ell)
         standard = shifted.d1 < 2 * q.n1 and shifted.d2 <= 2 * q.g * q.n2
         for k1, k2 in _divisor_pairs(q.k):
+            inner = _ref_inner([BNProblem(q.g, q.n1, shifted.d1, k1),
+                                BNProblem(q.g, q.n2, shifted.d2, k2)], cc, kind)
+            if inner is None:
+                continue
             cert = _certify(RULE_PRODUCT, {
                 "g": q.g, "kind": kind.value, "cc": cc.value, "pair": pair,
                 "ell": ell, "k": q.k, "k1": k1, "k2": k2,
                 "d1_shifted": shifted.d1, "d2_shifted": shifted.d2,
-                "window": "standard" if standard else "relaxed", **counts})
+                "window": "standard" if standard else "relaxed", **counts,
+                "inner": inner})
             if cert is not None:
                 return cert
     return None
@@ -358,11 +378,14 @@ def _ref_try_kernel(q: UniversalProblem, cc: CurveClass,
     hi = q.n1 + max(q.d1, 0)
     bu = beta_universal(q.g, q.n1, q.d1, q.n2, q.d2, q.k)
     for k1 in range(lo, hi + 1):
+        inner = _ref_inner([BNProblem(q.g, q.n1, q.d1, k1)], cc, kind)
+        if inner is None:
+            continue
         cert = _certify(RULE_KERNEL, {
             "g": q.g, "kind": kind.value, "cc": cc.value,
             "n1": q.n1, "d1": q.d1, "k1": k1, "n": n, "d": d, "k": q.k,
             "n2": q.n2, "d2": q.d2, "k_max": denom * (k1 - q.n1) - n * q.d1,
-            "beta_universal": bu})
+            "beta_universal": bu, "inner": inner})
         if cert is not None:
             return cert
     return None
@@ -546,6 +569,165 @@ def test_verify_rejects_foreign_product_factors():
     assert not verify_certificate(bent)
 
 
+def _with_inner(cert: Certificate, inner: list[Certificate]) -> Certificate:
+    return replace(cert, params={**cert.params, "inner": inner})
+
+
+def test_wrappers_reject_certificates_about_another_problem():
+    wrapper = decide_untwisted(BNProblem(3, 2, 6, 3), ANY, STABLE).certificates[0]
+    assert wrapper.rule == "SerreDualOf"
+    assert wrapper.params["dual"] == {"g": 3, "n": 2, "d": 2, "k": 1}
+    foreign = decide_untwisted(BNProblem(4, 2, 11, 6), ANY, STABLE).certificates[0]
+    assert foreign.rule == "RegionT" and verify_certificate(foreign)
+    assert verify_certificate(wrapper)
+    assert not verify_certificate(_with_inner(wrapper, [foreign]))
+
+    reduction = decide_universal(UniversalProblem(4, 1, 2, 2, 3, 2), ANY,
+                                 STABLE).certificates[0]
+    assert verify_certificate(reduction)
+    assert not verify_certificate(_with_inner(reduction, [foreign]))
+
+    product = decide_universal(UniversalProblem(6, 2, 3, 2, 3, 4), ANY,
+                               STABLE).certificates[0]
+    for universal, rule in ((UniversalProblem(6, 3, -3, 2, 9, 3), "SwappedFactorsOf"),
+                            (UniversalProblem(8, 4, 7, 4, 26, 26), "SerreDualOf")):
+        wrapper = decide_universal(universal, ANY, STABLE).certificates[0]
+        assert wrapper.rule == rule and verify_certificate(wrapper)
+        assert not verify_certificate(_with_inner(wrapper, [product]))
+
+
+def test_trivial_certificates_are_about_their_section_count():
+    wrapper = decide_untwisted(BNProblem(4, 4, 32, 9), ANY, STABLE).certificates[0]
+    assert wrapper.params["dual"]["k"] == -11
+    assert [c.rule for c in wrapper.params["inner"]] == [RULE_TRIVIAL]
+    assert verify_certificate(_with_inner(wrapper, [_certify(RULE_TRIVIAL, {"k": -11})]))
+    assert not verify_certificate(_with_inner(wrapper, [_certify(RULE_TRIVIAL, {"k": -3})]))
+
+
+def _factors(cert: Certificate) -> list[BNProblem]:
+    params = cert.params
+    if cert.rule == RULE_PRODUCT:
+        pair = params["pair"]
+        return [BNProblem(params["g"], pair["n1"], params["d1_shifted"], params["k1"]),
+                BNProblem(params["g"], pair["n2"], params["d2_shifted"], params["k2"])]
+    return [BNProblem(params["g"], params["n1"], params["d1"], params["k1"])]
+
+
+def _decided(factors: list[BNProblem], cc: CurveClass,
+             kind: StabilityKind) -> list[list[Certificate]]:
+    decisions = [decide_untwisted(f, cc, kind) for f in factors]
+    # each mutation keeps factor decisions that are themselves Nonempty here
+    assert all((d.status, d.scope) == (Status.NONEMPTY, Scope.THIS_RANK)
+               for d in decisions)
+    return [list(d.certificates) for d in decisions]
+
+
+def _flat(groups: list[list[Certificate]]) -> list[Certificate]:
+    return [c for group in groups for c in group]
+
+
+# each edit of a construction's factor certificates that verification must catch
+_FACTOR_EDITS = {
+    "another curve class": lambda fs: _flat(_decided(fs, GENERAL, STABLE)),
+    "semistable factors": lambda fs: _flat(_decided(fs, PETRI, SEMI)),
+    "one factor dropped": lambda fs: _flat(_decided(fs, PETRI, STABLE)[1:]),
+    "only RegionBMNO": lambda fs: _flat(
+        [[c for c in group if c.rule == "RegionBMNO"] if i == 0 else group
+         for i, group in enumerate(_decided(fs, PETRI, STABLE))]),
+    "unrelated extra": lambda fs: _flat(_decided(fs, PETRI, STABLE))
+    + list(decide_untwisted(BNProblem(6, 2, 7, 2), PETRI, STABLE).certificates),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(_FACTOR_EDITS))
+@pytest.mark.parametrize("problem, rule", [
+    (UniversalProblem(5, 2, 5, 3, 20, 12), RULE_PRODUCT),
+    (UniversalProblem(4, 2, 11, 7, -11, 21), RULE_KERNEL),
+])
+def test_verify_rejects_edited_factor_certificates(problem, rule, edit):
+    cert = decide_universal(problem, PETRI, STABLE).certificates[0]
+    assert cert.rule == rule and verify_certificate(cert)
+    factors = _factors(cert)
+    assert cert.params["inner"] == _flat(_decided(factors, PETRI, STABLE))
+    assert not verify_certificate(_with_inner(cert, _FACTOR_EDITS[edit](factors)))
+
+
+# the decisions the tests in this file build, remade by the calls that build them
+def _fixture_decisions() -> list[Decision]:
+    untwisted = [
+        (BNProblem(3, 2, 2, 2), ANY, STABLE), (BNProblem(3, 2, 2, 2), ANY, SEMI),
+        (BNProblem(5, 4, 8, 5), NONHYP, STABLE), (BNProblem(6, 3, -4, 0), ANY, STABLE),
+        (BNProblem(7, 1, 12, 7), PETRI, STABLE), (BNProblem(7, 1, 5, 3), PETRI, STABLE),
+        (BNProblem(7, 1, 5, 3), ANY, STABLE), (BNProblem(4, 2, 11, 6), ANY, STABLE),
+        (BNProblem(10, 5, 15, 5), ANY, SEMI), (BNProblem(3, 2, 6, 4), ANY, STABLE),
+        (BNProblem(3, 2, 6, 4), ANY, SEMI), (BNProblem(4, 3, 6, 4), HYP, STABLE),
+        (BNProblem(5, 1, 4, 2), PETRI, STABLE), (BNProblem(5, 2, 14, 8), NONHYP, STABLE),
+        (BNProblem(3, 2, 6, 3), ANY, STABLE), (BNProblem(4, 4, 32, 9), ANY, STABLE),
+        (BNProblem(6, 2, 7, 2), PETRI, STABLE),
+    ]
+    universal = [
+        (UniversalProblem(6, 2, 3, 2, 3, 4), ANY, STABLE),
+        (UniversalProblem(4, 2, 11, 7, -11, 21), ANY, STABLE),
+        (UniversalProblem(4, 1, 2, 2, 3, 2), ANY, STABLE),
+        (UniversalProblem(5, 2, 3, 2, 3, 0), ANY, STABLE),
+        (UniversalProblem(4, 2, 1, 2, 1, 9), ANY, STABLE),
+        (UniversalProblem(5, 4, -3, 4, 6, 8), ANY, SEMI),
+        (UniversalProblem(6, 2, 30, 2, -8, 5), ANY, STABLE),
+        (UniversalProblem(6, 3, -3, 2, 9, 3), ANY, STABLE),
+        (UniversalProblem(8, 4, 7, 4, 26, 26), ANY, STABLE),
+        (UniversalProblem(5, 2, 5, 3, 20, 12), PETRI, STABLE),
+        (UniversalProblem(4, 2, 11, 7, -11, 21), PETRI, STABLE),
+    ]
+    small = [(4, 3, 5, 3, ANY), (4, 3, 5, 4, ANY), (2, 3, 4, 4, ANY), (2, 3, 5, 4, ANY),
+             (3, 4, 8, 5, ANY), (3, 4, 8, 5, HYP), (3, 4, 8, 5, NONHYP), (5, 3, 6, 2, ANY),
+             (3, 2, 4, 4, ANY), (4, 3, 6, 4, ANY), (4, 3, 6, 4, HYP), (4, 3, 6, 4, NONHYP)]
+    twisted = [(2, 2, 3, 2, 2, 0, 1, 1, "direct"), (2, 2, 3, 3, 2, 0, 1, 1, "direct"),
+               (2, 2, -3, 0, 2, 0, 1, 1, "serre")]
+    return ([decide_untwisted(*args) for args in untwisted]
+            + [decide_universal(*args) for args in universal]
+            + [small_slope_decide(*args) for args in small]
+            + [t1_twisted_decide(*args) for args in twisted])
+
+
+def _selftest_decisions() -> list[Decision]:
+    return (selftest.product_threshold(Checks()) + selftest.kernel_family(Checks())
+            + selftest.known_and_special_cases(Checks())
+            + selftest.small_slope_equivalence(Checks()))
+
+
+def _seeded_universal_decisions(count: int) -> list[Decision]:
+    rng = random.Random(11)
+    decisions = []
+    for i in range(count):
+        g = rng.randint(2, 9)
+        cc = rng.choice([c for c in CurveClass if (g, c) != (2, NONHYP)])
+        kind = rng.choice([STABLE, SEMI])
+        if i % 4 == 0:  # the kernel pair (n1, d1), (d - n*g, -d) with d >= 2ng
+            n = rng.randint(1, 2)
+            d = 2 * n * g + rng.randint(0, 3)
+            p = UniversalProblem(g, rng.randint(2, 4), rng.randint(-10, 30),
+                                 d - n * g, -d, rng.randint(1, 30))
+        else:
+            p = UniversalProblem(g, rng.randint(1, 6), rng.randint(-30, 40),
+                                 rng.randint(1, 6), rng.randint(-30, 40), rng.randint(-2, 30))
+        decisions.append(decide_universal(p, cc, kind))
+    return decisions
+
+
+def test_verification_never_calls_a_decider(monkeypatch):
+    seeded = _seeded_universal_decisions(1200)
+    assert {"ProductConstruction", "KernelConstruction", "SerreDualOf",
+            "SwappedFactorsOf"} <= {c.rule for d in seeded for c in d.certificates}
+    decisions = _fixture_decisions() + _selftest_decisions() + seeded
+
+    def refuse(*args):
+        raise AssertionError("verification called a decider")
+
+    monkeypatch.setattr(oracle, "decide_untwisted", refuse)
+    monkeypatch.setattr(oracle, "decide_universal", refuse)
+    assert all(verify_decision(d) for d in decisions)
+
+
 def test_oracle_does_not_import_construct():
     code = (
         "import sys\n"
@@ -645,3 +827,45 @@ def test_decisions_serialize(box, kind, cc):
         return
     doc = decision_to_json(decide_untwisted(BNProblem(g, n, d, k), cc, kind))
     assert json.loads(json.dumps(doc, sort_keys=True)) == doc
+
+
+def _classical_violation(g: int, n: int, d: int, k: int) -> Optional[str]:
+    """The classical bound that a semistable bundle of rank n and degree d
+    with k >= 1 sections would break, or None."""
+    mu = Q(d, n)
+    if mu < 0:
+        return "a semistable bundle of negative slope has no sections"
+    if mu <= 2 * g - 2 and clifford_excess(g, slope_point(mu, Q(k, n))) > 0:
+        return "Clifford: h^0 <= d/2 + n for 0 <= mu <= 2g-2"
+    if mu > 2 * g - 2 and k > d - n * (g - 1):
+        return "Riemann-Roch: h^0 = d - n(g-1) once h^1 = 0 for mu > 2g-2"
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(min_value=2, max_value=8), st.integers(min_value=1, max_value=4),
+       st.data(), kinds, classes)
+def test_untwisted_nonempty_keeps_classical_bounds(g, n, data, kind, cc):
+    if g == 2 and cc is NONHYP:
+        return
+    d = data.draw(st.integers(min_value=-2 * n, max_value=2 * n * (g - 1) + 3 * n - 1))
+    k = data.draw(st.integers(min_value=1, max_value=n * (g + 1) + 1))
+    dec = decide_untwisted(BNProblem(g, n, d, k), cc, kind)
+    if dec.status is Status.NONEMPTY:
+        assert _classical_violation(g, n, d, k) is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=2, max_value=8), st.integers(min_value=1, max_value=4),
+       st.integers(min_value=-20, max_value=40), st.integers(min_value=1, max_value=4),
+       st.integers(min_value=-20, max_value=40), st.integers(min_value=1, max_value=30),
+       kinds, classes)
+def test_universal_nonempty_keeps_classical_bounds(g, n1, d1, n2, d2, k, kind, cc):
+    # E1 (x) E2 is semistable of rank n1*n2 and degree n1*d2 + n2*d1
+    # (Narasimhan-Seshadri), so its k sections obey the same bounds
+    if g == 2 and cc is NONHYP:
+        return
+    dec = decide_universal(UniversalProblem(g, n1, d1, n2, d2, k), cc, kind)
+    if dec.status is Status.NONEMPTY:
+        t = tensor_problem(g, n1, d1, n2, d2, k)
+        assert _classical_violation(g, t.n, t.d, t.k) is None
