@@ -133,7 +133,11 @@ def beta_tensor(g: int, n1: int, d1: int, n2: int, d2: int, k: int) -> int:
 
 
 def tensor_problem(g: int, n1: int, d1: int, n2: int, d2: int, k: int) -> BNProblem:
-    """The untwisted problem satisfied by tensor products of such pairs."""
+    """The untwisted problem satisfied by tensor products of such pairs.
+
+    When one factor has rank one this is the line-bundle reduction: the
+    maps are the sections of the other factor twisted by that line bundle.
+    """
     return BNProblem(g, n1 * n2, n1 * d2 + n2 * d1, k)
 
 

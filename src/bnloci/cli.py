@@ -43,6 +43,7 @@ from .construct import (
     product_construct,
     product_negativity_search,
 )
+from .exactq import MAX_DIGITS, too_long
 from .oracle import (
     CurveClass,
     Decision,
@@ -70,18 +71,6 @@ Handler = Callable[[argparse.Namespace], tuple[str, bool]]
 # argument parsing helpers
 
 
-# the most digits a number read or printed may have: Python refuses to turn
-# a longer integer into text (sys.get_int_max_str_digits, 4300 by default)
-MAX_DIGITS = 4300
-_TOO_LONG = 10 ** MAX_DIGITS
-
-
-def _too_long(value: Any) -> bool:
-    """True when an int or Fraction has a part of more than MAX_DIGITS digits."""
-    return (isinstance(value, (int, Fraction))
-            and max(abs(value.numerator), value.denominator) >= _TOO_LONG)
-
-
 def _fraction(text: str) -> Fraction:
     # Fraction builds 10**e exactly for a written exponent e (on a 2-vCPU Xeon
     # VM 0.4 s at e = 10**6 - 1, 16 s at e = 10**7), so e stops below 10**6
@@ -93,7 +82,7 @@ def _fraction(text: str) -> Fraction:
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(
             f"expected a rational like 3 or 5/8, got {text!r}") from exc
-    if _too_long(value):
+    if too_long(value):
         raise argparse.ArgumentTypeError(
             f"{text!r} has a numerator or denominator of 10^{MAX_DIGITS} or more")
     return value
@@ -138,7 +127,7 @@ def _plain(value: Any, name: str = "") -> Any:
 
     A number past MAX_DIGITS is refused, named by its path in the output.
     """
-    if _too_long(value):
+    if too_long(value):
         raise ValueError(f"output {name} has more than {MAX_DIGITS} digits, "
                          "more than can be printed")
     if isinstance(value, Fraction):
@@ -171,7 +160,7 @@ def _csv_text(header: list[str], rows: list[list[Any]]) -> str:
 
 
 def _cell(value: Any, name: str) -> str:
-    if _too_long(value):
+    if too_long(value):
         raise ValueError(f"output column {name} has more than {MAX_DIGITS} digits, "
                          "more than can be printed")
     if isinstance(value, Fraction):
@@ -247,13 +236,18 @@ def _cmd_decide(args: argparse.Namespace) -> tuple[str, bool]:
     if args.p1 is not None and args.p2 is not None:
         (n1, d1), (n2, d2) = args.p1, args.p2
         problem = UniversalProblem(g, n1, d1, n2, d2, k)
-        decision = decide_universal(problem, cc, kind)
+        beta, decide = beta_universal(g, n1, d1, n2, d2, k), decide_universal
     elif args.rank is not None and args.degree is not None:
         problem = BNProblem(g, args.rank, args.degree, k)
-        decision = decide_untwisted(problem, cc, kind)
+        beta, decide = beta_untwisted(g, args.rank, args.degree, k), decide_untwisted
     else:
         raise ValueError("decide needs either --rank and --degree or both "
                          "--p1 and --p2")
+    # the output prints beta, and premise texts print numbers of its size
+    if too_long(beta):
+        raise ValueError(f"output decision.beta has more than {MAX_DIGITS} digits, "
+                         "more than can be printed")
+    decision = decide(problem, cc, kind)
     verified = verify_decision(decision)
     doc = {
         "problem": problem, "curve": cc.value, "stability": kind.value,

@@ -22,6 +22,7 @@ from .bncore import (
     tensor_problem,
 )
 from .exactq import (
+    MAX_DIGITS,
     DomainError,
     PiecewiseFn,
     Quadratic,
@@ -31,6 +32,7 @@ from .exactq import (
     pw_max,
     rat_ceil,
     rat_floor,
+    too_long,
 )
 from .regions import StabilityKind, fg_piecewise, fg_eval, tg_piecewise, tg_eval
 from . import oracle
@@ -161,9 +163,10 @@ def product_negativity_search(g: int, mu1: RationalLike, lam1: RationalLike,
         opts2 = [n for n in range(den2, top + 1, den2) if n >= 2]
         work += 1 + len(opts1) + len(opts2) + len(opts1) * len(opts2)
         if work > MAX_NEGATIVITY_WORK:
+            cap_text = f"of more than {MAX_DIGITS} digits" if too_long(cap) else cap
             raise ConstructError(
                 f"negativity scan needs more than {MAX_NEGATIVITY_WORK} steps of "
-                f"work: no witness below rank {top}, provable cap rank {cap}")
+                f"work: no witness below rank {top}, provable cap rank {cap_text}")
         for n1 in opts1:
             for n2 in opts2:
                 if max(n1, n2) != top:
@@ -438,6 +441,16 @@ class KernelWitness:
     beta_universal: int
 
 
+def _check_kernel_base(n1: int, k1: int, n: int) -> None:
+    """Refuse a kernel family whose base or generator rank is out of range."""
+    if n1 < 2:
+        raise ConstructError(f"base rank must be at least 2, got {n1}")
+    if k1 <= n1:
+        raise ConstructError(f"base section count {k1} must exceed the base rank {n1}")
+    if n < 1:
+        raise ConstructError(f"generator rank must be positive, got {n}")
+
+
 def _kernel_window_check(g: int, n: int, d: int, cc: CurveClass,
                          kind: StabilityKind) -> None:
     if oracle.kernel_premises(g, n, d, d - n * g, -d, cc, kind)[-1].holds:
@@ -457,12 +470,7 @@ def kernel_construct(g: int, n1: int, d1: int, k1: int, n: int, d: int, k: int,
     the base locus must be certified nonempty at its rank and the demand
     k must fit under the kernel budget.
     """
-    if n1 < 2:
-        raise ConstructError(f"base rank must be at least 2, got {n1}")
-    if k1 <= n1:
-        raise ConstructError(f"base section count {k1} must exceed the base rank {n1}")
-    if n < 1:
-        raise ConstructError(f"generator rank must be positive, got {n}")
+    _check_kernel_base(n1, k1, n)
     _kernel_window_check(g, n, d, cc, kind)
     base = oracle.decide_untwisted(BNProblem(g, n1, d1, k1), cc, kind)
     if base.status is not Status.NONEMPTY or base.scope is not Scope.THIS_RANK:
@@ -488,12 +496,7 @@ def kernel_beta_quadratic(g: int, n1: int, d1: int, k1: int, n: int,
     the twist degree d vary; the demanded section count is k(d) = w*d - e
     with w = k1 - n1, defaulting to the full budget e = n*(w*(g-1) + d1).
     """
-    if n1 < 2:
-        raise ConstructError(f"base rank must be at least 2, got {n1}")
-    if k1 <= n1:
-        raise ConstructError(f"base section count {k1} must exceed the base rank {n1}")
-    if n < 1:
-        raise ConstructError(f"generator rank must be positive, got {n}")
+    _check_kernel_base(n1, k1, n)
     w = k1 - n1
     if e is None:
         e = n * (w * (g - 1) + d1)

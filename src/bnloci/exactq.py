@@ -25,6 +25,18 @@ class DomainError(ValueError):
     """Evaluation outside the declared domain of a piecewise function."""
 
 
+# the most digits a number read or printed may have: Python refuses to turn
+# a longer integer into text (sys.get_int_max_str_digits, 4300 by default)
+MAX_DIGITS = 4300
+_TOO_LONG = 10 ** MAX_DIGITS
+
+
+def too_long(value: object) -> bool:
+    """True when an int or Fraction has a part of more than MAX_DIGITS digits."""
+    return (isinstance(value, (int, Fraction))
+            and max(abs(value.numerator), value.denominator) >= _TOO_LONG)
+
+
 def as_rational(x: RationalLike) -> Fraction:
     """Coerce ints, 'p/q' strings and Fractions to Fraction."""
     return x if isinstance(x, Fraction) else Fraction(x)
@@ -183,9 +195,6 @@ class PiecewiseFn:
                         pts.append(x)
             self._breaks = tuple(pts)
         return self._breaks
-
-    def breakpoints(self) -> list[Fraction]:
-        return list(self.breaks)
 
 
 def pw_max(f: PiecewiseFn, g: PiecewiseFn) -> PiecewiseFn:

@@ -6,17 +6,18 @@ and the premise inequalities with their truth values.
 
 Each rule has one judge: a function of the certificate parameters alone
 that returns the rule's premises together with its conclusion (a status
-and a scope), or None when the rule does not apply.  The ordered table
-RULES holds the rules for untwisted problems: decide_untwisted walks it,
-its Serre-dual row walks the dual-eligible rows on the reflected problem,
-and small_slope_decide reads its small-slope rows.  The universal search
-calls the construction judges directly.  The verifier calls the same
-judges on stored parameters, so a stored certificate re-derives its
-premises and its conclusion, and a decision must state exactly what its
-certificates conclude.  A rule resting on other loci (a wrapper, or a
-product or kernel construction) reads their certificates from
-params["inner"] and checks only what each is about; no judge decides
-anything, so verification never calls a decider.
+and a scope), or None when the rule does not apply.  Two deciders search
+the rules: decide_untwisted walks the ordered table RULES, whose
+Serre-dual row walks the dual-eligible rows on the reflected problem,
+and decide_universal calls the construction judges directly.
+t1_twisted_decide applies the scaling rule once against a fixed bundle;
+its Serre-dual form is the same call on the Serre-dual data.  The
+verifier calls the same judges on stored parameters, so a stored
+certificate re-derives its premises and its conclusion, and a decision
+must state exactly what its certificates conclude.  A rule resting on
+other loci (a wrapper, or a product or kernel construction) reads their
+certificates from params["inner"] and checks only what each is about; no
+judge decides anything, so verification never calls a decider.
 
 Unknown is an honest output: several of the underlying statements are
 one-directional, and the rank > 1 existence problem is open in general.
@@ -41,6 +42,7 @@ from .bncore import (
     serre_dual_problem,
     shift_line_bundle,
     swap_factors,
+    tensor_problem,
     universal_serre_dual,
 )
 from .exactq import rat_ceil
@@ -254,8 +256,6 @@ def _about(cert: Certificate, problem: dict, cc: Optional[str] = None,
         return params["k"] == problem["k"]
     if rule == RULE_PRODUCT:
         return {"g": params["g"], **params["pair"], "k": params["k"]} == problem
-    if rule == RULE_TWISTED_SCALING and params["variant"] != "direct":
-        return False  # it counts the Serre-reflected pair, not the one it records
     keys = (_UNIVERSAL_KEYS if rule in (RULE_KERNEL, RULE_TWISTED_SCALING)
             else _UNTWISTED_KEYS)
     return {key: params[key] for key in keys} == problem
@@ -454,10 +454,9 @@ def _line_reduction(params: dict) -> Optional[Verdict]:
     p = UniversalProblem(**prob)
     prem = [Premise(f"one moving factor has rank one ({p.n1}, {p.n2})",
                     p.n1 == 1 or p.n2 == 1)]
-    if p.n2 == 1:
-        expect = {"g": p.g, "n": p.n1, "d": p.d1 + p.n1 * p.d2, "k": p.k}
-    else:
-        expect = {"g": p.g, "n": p.n2, "d": p.d2 + p.n2 * p.d1, "k": p.k}
+    if not _holds(prem):
+        return None
+    expect = _problem_params(tensor_problem(p.g, p.n1, p.d1, p.n2, p.d2, p.k))
     prem.append(Premise(
         f"reduced untwisted data {reduced} matches the line-bundle twist {expect}",
         expect == reduced))
@@ -467,32 +466,21 @@ def _line_reduction(params: dict) -> Optional[Verdict]:
 def _twisted_scaling(params: dict) -> Optional[Verdict]:
     g, n1, d1, k = params["g"], params["n1"], params["d1"], params["k"]
     n2, d2, d0, k0 = params["n2"], params["d2"], params["d0"], params["k0"]
-    variant = params["variant"]
+    if params["variant"] != "direct":
+        return None
     stable = StabilityKind(params["kind"]) is StabilityKind.STABLE
     b0 = beta_twisted(g, 1, d0, k0, n2, d2)
     step = n1 * d0 + (1 if stable else 0)
+    b_tw = beta_twisted(g, n1, d1, k, n2, d2)
+    b_un = beta_universal(g, n1, d1, n2, d2, k)
     prem = [
         Premise(f"n1 = {n1} >= 2", n1 >= 2),
         Premise(f"rank-one seed count beta(1, {d0}, {k0}) against the fixed "
                 f"({n2}, {d2}) is {b0} >= 1", b0 >= 1),
+        Premise(f"k = {k} <= n1*k0 = {n1 * k0}", k <= n1 * k0),
+        Premise(f"d1 = {d1} >= {step}" + (" (strict scaling step)" if stable else ""),
+                d1 >= step),
     ]
-    if variant == "direct":
-        b_tw = beta_twisted(g, n1, d1, k, n2, d2)
-        b_un = beta_universal(g, n1, d1, n2, d2, k)
-        prem.append(Premise(f"k = {k} <= n1*k0 = {n1 * k0}", k <= n1 * k0))
-        prem.append(Premise(f"d1 = {d1} >= {step}"
-                            + (" (strict scaling step)" if stable else ""),
-                            d1 >= step))
-    elif variant == "serre":
-        d2_dual = 2 * n2 * (g - 1) - d2
-        k1 = k - chi_pairing(g, n1, d1, n2, d2_dual)
-        b_tw = n1 * n1 * (g - 1) + 1 - k * k1
-        b_un = beta_universal(g, n1, d1, n2, d2_dual, k)
-        prem.append(Premise(f"dual section count k1 = k - chi = {k1} <= n1*k0 = "
-                            f"{n1 * k0}", k1 <= n1 * k0))
-        prem.append(Premise(f"-d1 = {-d1} >= {step}", -d1 >= step))
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
     bound = n2 * n2 * (g - 1) + 2
     if stable:
         prem.append(Premise(f"guarantee: twisted count {b_tw} > 1", b_tw > 1))
@@ -543,7 +531,7 @@ def _product_frame(params: dict) -> tuple[list[Premise], tuple[BNProblem, ...]]:
                 "all >= 1", d1s >= 1 and d2s >= 1 and k1 >= 1 and k2 >= 1),
     ]
     windows = product_windows(g, n1, d1s, n2, d2s, CurveClass(params["cc"]))
-    prem += windows["standard" if params["window"] == "standard" else "relaxed"]
+    prem += windows[params["window"]]
     return prem, (BNProblem(g, n1, d1s, k1), BNProblem(g, n2, d2s, k2))
 
 
@@ -648,7 +636,8 @@ class _SerreDualRule(Rule):
 
     def apply(self, p: BNProblem, cc: CurveClass, kind: StabilityKind) -> Optional[Found]:
         q = serre_dual_problem(p)
-        found = _first(q, cc, kind, lambda rule: rule.dual)
+        found = next(filter(None, (rule.apply(q, cc, kind) for rule in RULES
+                                   if rule.dual)), None)
         if found is None:
             return None
         conclusion, inner = found
@@ -699,17 +688,6 @@ RULES: tuple[Rule, ...] = (
 _JUDGES = {rule.name: rule.judge for rule in RULES} | {
     RULE_SWAPPED_OF: _swapped_of, RULE_LINE_REDUCTION: _line_reduction,
     RULE_TWISTED_SCALING: _twisted_scaling, RULE_PRODUCT: _product, RULE_KERNEL: _kernel}
-_SMALL_SLOPE_RULES = (RULE_SMALL_SLOPE, RULE_HYPERELLIPTIC, RULE_CANONICAL)
-
-
-def _first(p: BNProblem, cc: CurveClass, kind: StabilityKind,
-           keep: Callable[[Rule], bool]) -> Optional[Found]:
-    for rule in RULES:
-        if keep(rule):
-            found = rule.apply(p, cc, kind)
-            if found is not None:
-                return found
-    return None
 
 
 def _certify(rule: str, params: dict) -> Optional[Certificate]:
@@ -720,30 +698,6 @@ def _certify(rule: str, params: dict) -> Optional[Certificate]:
     """
     verdict = _JUDGES[rule](params)
     return None if verdict is None else Certificate(rule, params, verdict.premises)
-
-
-# ---------------------------------------------------------------------------
-# small-slope deciders
-
-
-def small_slope_decide(g: int, n: int, d: int, k: int, cc: CurveClass) -> Decision:
-    """Decide the stable locus in the small-slope window 0 < d <= 2n, n >= 2.
-
-    Interior slopes are an if-and-only-if; at the boundary d = 2n the
-    answer depends on whether the curve is hyperelliptic, so AnySmooth
-    returns Unknown when the two answers diverge.
-    """
-    if n < 2 or not 0 < d <= 2 * n:
-        raise ValueError(f"small-slope window needs n >= 2 and 0 < d <= 2n; "
-                         f"got n={n}, d={d}")
-    check_curve_class(g, cc)
-    beta = beta_untwisted(g, n, d, k)
-    found = _first(BNProblem(g, n, d, k), cc, StabilityKind.STABLE,
-                   lambda rule: rule.name in _SMALL_SLOPE_RULES)
-    if found is None:
-        return Decision(Status.UNKNOWN, Scope.THIS_RANK, beta, ())
-    (status, scope), cert = found
-    return Decision(status, scope, beta, (cert,))
 
 
 # ---------------------------------------------------------------------------
@@ -775,26 +729,23 @@ def decide_untwisted(p: BNProblem, cc: CurveClass, kind: StabilityKind) -> Decis
 
 
 def t1_twisted_decide(g: int, n1: int, d1: int, k: int, n2: int, d2: int,
-                      d0: int, k0: int, variant: str,
+                      d0: int, k0: int,
                       kind: StabilityKind = StabilityKind.STABLE) -> Decision:
     """Scaling construction from a rank-one seed against a fixed bundle.
 
     All hypotheses holding yields Nonempty with the guaranteed count
     bounds attached; any failure yields Unknown (the statement is
-    one-directional, so Empty is never produced).
+    one-directional, so Empty is never produced).  The Serre-dual form of
+    the scaling is this call on the Serre-dual data (n1, -d1,
+    k - chi(n1, d1, n2, 2n2(g-1) - d2)) against the same (n2, d2).
     """
     if n1 < 2:
         raise ValueError(f"scaling needs n1 >= 2, got {n1}")
-    if variant not in ("direct", "serre"):
-        raise ValueError(f"variant must be direct or serre, got {variant!r}")
+    # certificates name their variant; the direct one is the only one
     cert = _certify(RULE_TWISTED_SCALING, {
         "g": g, "n1": n1, "d1": d1, "k": k, "n2": n2, "d2": d2,
-        "d0": d0, "k0": k0, "variant": variant, "kind": kind.value})
-    if variant == "direct":
-        beta = beta_twisted(g, n1, d1, k, n2, d2)
-    else:
-        d2_dual = 2 * n2 * (g - 1) - d2
-        beta = n1 * n1 * (g - 1) + 1 - k * (k - chi_pairing(g, n1, d1, n2, d2_dual))
+        "d0": d0, "k0": k0, "variant": "direct", "kind": kind.value})
+    beta = beta_twisted(g, n1, d1, k, n2, d2)
     if cert is None:
         return Decision(Status.UNKNOWN, Scope.THIS_RANK, beta, ())
     return Decision(Status.NONEMPTY, Scope.THIS_RANK, beta, (cert,))
@@ -813,7 +764,9 @@ def _bounded(values: range, what: str) -> Iterator[int]:
     """The values of one search loop, refused once MAX_SEARCH_STEPS have run."""
     for step, value in enumerate(values):
         if step == MAX_SEARCH_STEPS:
-            raise ValueError(f"universal search loop over {len(values)} {what} "
+            # every loop steps by one; len() fails on a range past sys.maxsize
+            count = values.stop - values.start
+            raise ValueError(f"universal search loop over {count} {what} "
                              f"passed its limit of {MAX_SEARCH_STEPS} steps")
         yield value
 
@@ -830,20 +783,24 @@ def _divisor_pairs(k: int) -> list[tuple[int, int]]:
     return pairs
 
 
-def _presentations(p: UniversalProblem, cap: int = 8
+# the most presentations one universal search tries
+MAX_PRESENTATIONS = 8
+
+
+def _presentations(p: UniversalProblem
                    ) -> list[tuple[UniversalProblem, list[str], list[UniversalProblem]]]:
     """Breadth-first presentations of p under factor swap and Serre duality.
 
     Each entry is (problem, ops, chain) where ops lists the generators
     applied in order and chain holds the intermediate problems from p.
     The two generators compose to a line-bundle shift, so the raw orbit
-    is infinite; the cap keeps one lap of it, which already contains
-    every presentation that differs by more than a shift.
+    is infinite; MAX_PRESENTATIONS keeps one lap of it, which already
+    contains every presentation that differs by more than a shift.
     """
     seen = {p}
     queue = [(p, [], [p])]
     out = []
-    while queue and len(out) < cap:
+    while queue and len(out) < MAX_PRESENTATIONS:
         cur, ops, chain = queue.pop(0)
         out.append((cur, ops, chain))
         for name, fn in (("swap", swap_factors), ("serre", universal_serre_dual)):
@@ -954,8 +911,7 @@ def _try_scaling(q: UniversalProblem, cc: CurveClass,
     lo = max(1, rat_ceil(Fraction(q.k, q.n1)))
     for k0 in _bounded(range(lo, chi0 + q.g), "scaling seed section counts"):
         if beta_twisted(q.g, 1, d0, k0, q.n2, q.d2) >= 1:
-            dec = t1_twisted_decide(q.g, q.n1, q.d1, q.k, q.n2, q.d2, d0, k0,
-                                    "direct", kind)
+            dec = t1_twisted_decide(q.g, q.n1, q.d1, q.k, q.n2, q.d2, d0, k0, kind)
             if dec.status is Status.NONEMPTY:
                 return dec.certificates[0]
     return None
@@ -983,10 +939,7 @@ def decide_universal(p: UniversalProblem, cc: CurveClass,
         cert = _certify(RULE_TRIVIAL, {"k": p.k})
         return Decision(Status.NONEMPTY, Scope.THIS_RANK, beta, (cert,))
     if p.n1 == 1 or p.n2 == 1:
-        if p.n2 == 1:
-            reduced = BNProblem(p.g, p.n1, p.d1 + p.n1 * p.d2, p.k)
-        else:
-            reduced = BNProblem(p.g, p.n2, p.d2 + p.n2 * p.d1, p.k)
+        reduced = tensor_problem(p.g, p.n1, p.d1, p.n2, p.d2, p.k)
         inner = decide_untwisted(reduced, cc, kind)
         cert = _certify(RULE_LINE_REDUCTION, {
             "problem": _universal_params(p),

@@ -22,7 +22,7 @@ from .construct import (ConstructError, bpn_boundary, bpn_membership, bpn_new_po
                         kernel_negativity_min_d, product_construct,
                         product_negativity_search)
 from .oracle import (CurveClass, Decision, Status, decide_universal, decide_untwisted,
-                     small_slope_decide, verify_decision)
+                     verify_decision)
 from .regions import (StabilityKind, eta_hat, eta_hat_prime, fg_eval, membership_BMNO,
                       membership_T, tg_eval)
 
@@ -213,7 +213,7 @@ def small_slope_equivalence(check: Check) -> list[Decision]:
                 top = fg_eval(g, Q(d, n))
                 check(Q(2 * n + 4, n) > top, f"the box ends below the curve at {(g, n, d)}")
                 for k in range(-3, 2 * n + 5):
-                    dec = small_slope_decide(g, n, d, k, ANY)
+                    dec = decide_untwisted(BNProblem(g, n, d, k), ANY, STABLE)
                     emitted.append(dec)
                     predicted = Q(k, n) <= top and (d, k) != (n, n)
                     check((dec.status is Status.NONEMPTY) == predicted,

@@ -70,6 +70,9 @@ def test_tensor_problem_invariants():
     t = tensor_problem(5, 6, 11, 7, 12, 56)
     assert (t.n, t.d, t.k) == (42, 6 * 12 + 7 * 11, 56)
     assert t.slope == Q(11, 6) + Q(12, 7)
+    # with a rank-one factor it is the line-bundle twist of the other factor
+    assert tensor_problem(4, 1, 2, 2, 3, 2) == BNProblem(4, 2, 3 + 2 * 2, 2)
+    assert tensor_problem(4, 3, 5, 1, -2, 6) == BNProblem(4, 3, 5 + 3 * -2, 6)
 
 
 def test_serre_dual_problem_values():

@@ -457,6 +457,42 @@ def test_output_number_of_too_many_digits_is_named(capsys, argv, name):
                             "more than can be printed\n")
 
 
+def test_decide_of_too_long_a_count_is_refused_before_deciding(capsys, monkeypatch):
+    # the count of this rank-one problem is near 10^8400; its premises
+    # would print it while deciding
+    def refuse(*args):
+        raise AssertionError("decided a problem whose count cannot be printed")
+
+    monkeypatch.setattr(cli, "decide_untwisted", refuse)
+    nines = "9" * 4200
+    assert cli.main(["decide", "--genus", "3", "--rank", "1", "--degree", f"-{nines}",
+                     "--sections", nines, "--curve", "petri"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: output decision.beta has more than 4300 digits, "
+                            "more than can be printed\n")
+
+
+def test_negativity_cap_of_too_many_digits_is_named(capsys):
+    assert cli.main(["product", "--genus", "6", "--negativity", "--mu1=1/3",
+                     "--lam1=1e-4299", "--mu2", "3", "--lam2", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: negativity scan needs more than 1000000 steps of "
+                            "work: no witness below rank 1414, provable cap rank of "
+                            "more than 4300 digits\n")
+
+
+def test_search_loop_past_sys_maxsize_is_refused(capsys):
+    # isqrt(10^60) = 10^30 trial divisors, more than len() of a range can count
+    assert cli.main(["decide", "--genus", "4", "--p1=3,4", "--p2=3,5",
+                     "--sections", str(10**60)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: universal search loop over {10**30} trial divisors "
+                            "passed its limit of 50000 steps\n")
+
+
 def test_verification_failure_exits_two(capsys, monkeypatch):
     monkeypatch.setattr(cli, "verify_decision", lambda dec: False)
     code, doc = run_json(capsys, ["decide", "--genus", "4", "--rank", "2",

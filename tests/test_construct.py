@@ -313,7 +313,7 @@ def _ref_bpn_direct(g: int, mu: Rational) -> Optional[_DirectBest]:
         return None
     env = _upper_envelope(g)
     pts = {Q(0), w_hi}
-    for b in env.breakpoints():
+    for b in env.breaks:
         if 0 < b < w_hi:
             pts.add(b)
         rb = mu - b
@@ -401,11 +401,14 @@ def test_bpn_matches_full_scan_on_random_slopes(g, data):
 
 def test_warm_bpn_query_reads_no_full_breakpoint_list(monkeypatch):
     bpn_boundary(40, 1)
+    breaks = PiecewiseFn.breaks.fget
 
-    def refuse(self):
-        raise AssertionError("a slope query rebuilt the breakpoint list")
+    def cached_only(self):
+        if self._breaks is None:
+            raise AssertionError("a slope query rebuilt the breakpoint list")
+        return breaks(self)
 
-    monkeypatch.setattr(PiecewiseFn, "breakpoints", refuse)
+    monkeypatch.setattr(PiecewiseFn, "breaks", property(cached_only))
     for i in range(1, 51):
         assert bpn_boundary(40, Q(31 * i, 20)).boundary > 0
 

@@ -159,7 +159,7 @@ def test_pw_max_with_crossing():
     assert h(Q(1, 2)) == Q(3, 2)
     assert h(Q(3, 2)) == Q(3, 2)
     assert h(2) == 2
-    assert Q(1) in h.breakpoints()
+    assert Q(1) in h.breaks
 
 
 def test_pw_max_keeps_spikes_and_drops_uncarried_ends():
