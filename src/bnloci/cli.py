@@ -18,7 +18,6 @@ import sys
 from fractions import Fraction
 from typing import Any, Callable, Optional
 
-from . import selftest
 from .bncore import (
     BNProblem,
     UniversalProblem,
@@ -37,7 +36,7 @@ from .construct import (
     bpn_membership,
     bpn_new_points,
     c6_enumerate,
-    check_grid_step,
+    grid_slopes,
     kernel_construct,
     kernel_negativity_min_d,
     product_construct,
@@ -473,15 +472,10 @@ def _excluded_markers(g: int) -> list[tuple[Fraction, Fraction, str]]:
 
 
 def _bpn_samples(g: int, step: Fraction) -> list[tuple[Fraction, Fraction]]:
-    check_grid_step(g, step)
-    samples = []
-    mu = Fraction(0)
-    while mu <= 2 * g - 2:
-        samples.append((mu, bpn_boundary(g, mu).boundary))
-        mu += step
-    if samples[-1][0] != 2 * g - 2:
-        samples.append((Fraction(2 * g - 2), bpn_boundary(g, 2 * g - 2).boundary))
-    return samples
+    slopes = [Fraction(0), *grid_slopes(g, step)]
+    if slopes[-1] != 2 * g - 2:
+        slopes.append(Fraction(2 * g - 2))
+    return [(mu, bpn_boundary(g, mu).boundary) for mu in slopes]
 
 
 _SVG_STYLE = [
@@ -598,6 +592,8 @@ def _cmd_selftest(args: argparse.Namespace) -> tuple[str, bool]:
     if not 1 <= args.trials <= MAX_SELFTEST_TRIALS:
         raise ValueError(f"trials must be between 1 and {MAX_SELFTEST_TRIALS}, "
                          f"got {args.trials}")
+    # imported here, so other commands do not pay for loading it
+    from . import selftest
     return selftest.run(args.seed, args.trials)
 
 

@@ -78,6 +78,10 @@ def product_construct(g: int, p1: BNProblem, p2: BNProblem,
         raise ConstructError("factor ranks must both be at least 2")
     if p1.d < 1 or p2.d < 1 or p1.k < 1 or p2.k < 1:
         raise ConstructError("factor degrees and section counts must be positive")
+    # the window premises print 2*n1 and 2*g*n2
+    if too_long(2 * p1.n) or too_long(2 * g * p2.n):
+        raise ConstructError(f"slope window bound 2*n1 or 2*g*n2 has more than "
+                             f"{MAX_DIGITS} digits, more than can be printed")
     window = oracle.first_window(oracle.product_windows(g, p1.n, p1.d, p2.n, p2.d, cc))
     if window is None:
         if p1.d > 2 * p1.n:
@@ -193,22 +197,15 @@ def _upper_envelope(g: int) -> PiecewiseFn:
     return pw_max(fg_piecewise(g), tg_piecewise(g))
 
 
-@dataclass(frozen=True)
-class _DirectBest:
-    value: Rational
-    attained: bool
-    t: Rational
-    lam1: Rational
-    lam2: Rational
-
-
-def _bpn_direct(g: int, mu: Rational) -> Optional[_DirectBest]:
+def _bpn_direct(g: int, mu: Rational) -> Optional[tuple]:
     """Exact sup of F(t)*F(mu - t) over the open window t in (0, min(2, mu)).
+
+    Returns (value, attained, t, F(t), F(mu - t)) of the best candidate.
 
     With w = min(2, mu), the grid is {0, w}, the envelope breakpoints b
     with 0 < b < w, and the reflections mu - b of those with
     mu - w < b < mu.  Both slices are bisected out of the envelope's
-    sorted breakpoint tuple, and each factor's segments are found by
+    key list of segment ends, and each factor's segments are found by
     walking in from an end of its window.  Once the genus's O(g)
     envelope exists, a query therefore costs O(log g) plus the few
     breakpoints inside the width-2 window.
@@ -225,24 +222,22 @@ def _bpn_direct(g: int, mu: Rational) -> Optional[_DirectBest]:
     if w_hi <= 0:
         return None
     env = _upper_envelope(g)
-    bps, segs = env.breaks, env.segments
+    ends, segs = env.ends, env.segments
     pts = {Fraction(0), w_hi}
-    pts.update(bps[bisect_right(bps, 0):bisect_left(bps, w_hi)])
-    pts.update(mu - b for b in bps[bisect_right(bps, mu - w_hi):bisect_left(bps, mu)])
+    pts.update(ends[bisect_right(ends, 0):bisect_left(ends, w_hi)])
+    pts.update(mu - b for b in ends[bisect_right(ends, mu - w_hi):bisect_left(ends, mu)])
     grid = sorted(pts)
-    # indices into segs: `left` walks rightward over t, `right` walks
-    # leftward over mu - t
+    # indices into segs: `left` walks rightward over t from the first
+    # segment, `right` leftward over mu - t from the one ending at or past mu
     left = 0
-    right = bisect_left(segs, mu, key=lambda seg: seg.lo) - 1
+    right = bisect_left(ends, mu)
     best: Optional[tuple] = None
-    best_key: Optional[tuple] = None
 
     def consider(value: Rational, attained: bool, t: Rational,
                  lam1: Rational, lam2: Rational) -> None:
-        nonlocal best, best_key
-        key = (value, attained, -t)
-        if best_key is None or key > best_key:
-            best, best_key = (value, attained, t, lam1, lam2), key
+        nonlocal best
+        if best is None or (value, attained, -t) > (best[0], best[1], -best[2]):
+            best = (value, attained, t, lam1, lam2)
 
     last = len(grid) - 2
     for k, (lo, hi) in enumerate(zip(grid, grid[1:])):
@@ -287,7 +282,7 @@ def _bpn_direct(g: int, mu: Rational) -> Optional[_DirectBest]:
             seg = segs[right]
         lam2 = seg.slope * y + seg.intercept
         consider(lam1 * lam2, True, hi, lam1, lam2)
-    return _DirectBest(*best)
+    return best
 
 
 @dataclass(frozen=True)
@@ -322,18 +317,14 @@ def bpn_boundary(g: int, mu: RationalLike) -> BPNQuery:
         raise DomainError(f"slope {mu} outside [0, {2 * g - 2}]")
     direct = _bpn_direct(g, mu) if mu > 0 else None
     mirror = _bpn_direct(g, 2 * g - 2 - mu) if mu < 2 * g - 2 else None
-    if mirror is not None:
-        reflected = mirror.value + mu - (g - 1)
-        if direct is None or reflected > direct.value:
-            return BPNQuery(
-                g=g, mu=mu, lam=None, boundary=reflected, attained=mirror.attained,
-                decomposition=(mirror.t, 2 * g - 2 - mu - mirror.t,
-                               mirror.lam1, mirror.lam2),
-                branch="serre-dual")
-    return BPNQuery(
-        g=g, mu=mu, lam=None, boundary=direct.value, attained=direct.attained,
-        decomposition=(direct.t, mu - direct.t, direct.lam1, direct.lam2),
-        branch="direct")
+    shift = mu - (g - 1)
+    if mirror is not None and (direct is None or mirror[0] + shift > direct[0]):
+        best, side, branch = mirror, 2 * g - 2 - mu, "serre-dual"
+    else:
+        best, side, branch, shift = direct, mu, "direct", 0
+    value, attained, t, lam1, lam2 = best
+    return BPNQuery(g=g, mu=mu, lam=None, boundary=value + shift, attained=attained,
+                    decomposition=(t, side - t, lam1, lam2), branch=branch)
 
 
 def bpn_membership(g: int, mu: RationalLike, lam: RationalLike) -> BPNQuery:
@@ -352,18 +343,20 @@ def bpn_membership(g: int, mu: RationalLike, lam: RationalLike) -> BPNQuery:
 MAX_GRID_SLOPES = 10_000
 
 
-def check_grid_step(g: int, step: Rational) -> None:
-    """Reject a scan step that is not positive or too fine.
+def grid_slopes(g: int, step: RationalLike) -> list[Rational]:
+    """The grid slopes i*step, i = 1, 2, ..., on (0, 2g-2].
 
-    A step puts floor((2g-2)/step) grid slopes on (0, 2g-2]; more than
-    MAX_GRID_SLOPES of them is refused before any slope is evaluated.
+    A step that is not positive is refused, and so is one that puts more
+    than MAX_GRID_SLOPES slopes there, before any slope is listed.
     """
+    step = as_rational(step)
     if step <= 0:
         raise ValueError(f"step must be positive, got {step}")
     count = rat_floor((2 * g - 2) / step)
     if count > MAX_GRID_SLOPES:
         raise ValueError(f"step {step} gives {count} grid slopes on "
                          f"(0, {2 * g - 2}], at most {MAX_GRID_SLOPES} allowed")
+    return [i * step for i in range(1, count + 1)]
 
 
 @dataclass(frozen=True)
@@ -383,21 +376,17 @@ class NewPointWitness:
 def bpn_new_points(g: int, step: RationalLike = Fraction(1, 8)) -> list[NewPointWitness]:
     """Grid slopes where the product boundary beats both known regions.
 
-    Scans mu = i*step over (0, 2g-2] and returns a witness with exact
+    Scans the grid_slopes of step and returns a witness with exact
     margins wherever the product boundary strictly exceeds the staircase
     and the sawtooth values.  Below genus 5 the product boundary never
-    does, so small genera are rejected, and so is a step finer than
-    check_grid_step allows.
+    does, so small genera are rejected, and so is a step grid_slopes
+    refuses.
     """
     if g < 5:
         raise ValueError(f"the product region only exceeds the known ones "
                          f"from genus 5 on; got g={g}")
-    step = as_rational(step)
-    check_grid_step(g, step)
     out = []
-    i = 1
-    while i * step <= 2 * g - 2:
-        mu = i * step
+    for mu in grid_slopes(g, step):
         query = bpn_boundary(g, mu)
         tv, fv = tg_eval(g, mu), fg_eval(g, mu)
         if query.boundary > tv and query.boundary > fv:
@@ -406,7 +395,6 @@ def bpn_new_points(g: int, step: RationalLike = Fraction(1, 8)) -> list[NewPoint
                 margin_t=query.boundary - tv, margin_f=query.boundary - fv,
                 attained=query.attained, decomposition=query.decomposition,
                 branch=query.branch))
-        i += 1
     return out
 
 

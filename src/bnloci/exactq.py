@@ -3,8 +3,8 @@
 Everything downstream (Brill-Noether numbers, region tables, boundary
 maximisation) is computed over Q.  This module supplies the few exact
 primitives the rest of the package needs: floor/ceil on rationals,
-quadratics with exact maximisation on closed intervals, and
-piecewise-affine functions with explicit endpoint closures.
+quadratics with exact coefficients, piecewise-affine functions with
+explicit endpoint closures, and their pointwise maximum.
 
 No floating point is used anywhere in this module.
 """
@@ -15,7 +15,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 Rational = Fraction
 RationalLike = Union[Fraction, int, str]
@@ -66,35 +66,6 @@ class Quadratic:
         t = as_rational(t)
         return (self.a * t + self.b) * t + self.c
 
-    @staticmethod
-    def from_affine_product(a1: Fraction, b1: Fraction, a2: Fraction, b2: Fraction) -> "Quadratic":
-        """The quadratic (a1*t + b1)*(a2*t + b2)."""
-        return Quadratic(a1 * a2, a1 * b2 + a2 * b1, b1 * b2)
-
-
-def quad_max_on_interval(q: Quadratic, lo: RationalLike, hi: RationalLike) -> tuple[Fraction, Fraction]:
-    """Exact maximiser of q on the closed interval [lo, hi].
-
-    Returns (argmax, max).  For concave q with interior vertex the vertex
-    wins; otherwise the better endpoint does.  Ties are broken toward the
-    smaller argument, so the result is deterministic.
-    """
-    lo, hi = as_rational(lo), as_rational(hi)
-    if lo > hi:
-        raise ValueError(f"empty interval: lo={lo} > hi={hi}")
-    candidates = [lo, hi]
-    if q.a < 0:
-        vertex = -q.b / (2 * q.a)
-        if lo < vertex < hi:
-            candidates.append(vertex)
-    best_t = None
-    best_v = None
-    for t in candidates:
-        v = q(t)
-        if best_v is None or v > best_v or (v == best_v and t < best_t):
-            best_t, best_v = t, v
-    return best_t, best_v
-
 
 @dataclass(frozen=True)
 class Segment:
@@ -141,13 +112,13 @@ class PiecewiseFn:
     checks run at construction time, so a malformed table (overlap, gap,
     double-closed junction) cannot be built at all.
 
-    ``breaks`` holds the sorted distinct segment endpoints.  It is built
-    on first use and kept, so consumers can bisect it instead of
-    rebuilding it, and the many O(g) region tables that never need it
-    do not pay for it.
+    ``ends`` lists the segments' right ends in order (a point segment
+    repeats the end of the open segment before it).  Together with
+    ``domain_lo`` they are every endpoint, so it is the one key list that
+    evaluation and consumers bisect.
     """
 
-    __slots__ = ("segments", "_his", "_breaks")
+    __slots__ = ("segments", "ends")
 
     def __init__(self, segments: Sequence[Segment]):
         segs = sorted(segments, key=lambda s: (s.lo, s.hi))
@@ -163,8 +134,7 @@ class PiecewiseFn:
             if not prev.hi_closed and not cur.lo_closed:
                 raise ValueError(f"point {cur.lo} carried by no segment")
         self.segments: tuple[Segment, ...] = tuple(segs)
-        self._his = [s.hi for s in segs]
-        self._breaks: Optional[tuple[Fraction, ...]] = None
+        self.ends: list[Fraction] = [s.hi for s in segs]
 
     @property
     def domain_lo(self) -> Fraction:
@@ -176,7 +146,7 @@ class PiecewiseFn:
 
     def segment_at(self, x: RationalLike) -> Segment:
         x = as_rational(x)
-        idx = bisect_left(self._his, x)
+        idx = bisect_left(self.ends, x)
         for j in (idx, idx + 1):
             if j < len(self.segments) and self.segments[j].contains(x):
                 return self.segments[j]
@@ -184,17 +154,6 @@ class PiecewiseFn:
 
     def __call__(self, x: RationalLike) -> Fraction:
         return self.segment_at(x).value(x)
-
-    @property
-    def breaks(self) -> tuple[Fraction, ...]:
-        if self._breaks is None:
-            pts: list[Fraction] = []
-            for s in self.segments:
-                for x in (s.lo, s.hi):
-                    if not pts or pts[-1] != x:
-                        pts.append(x)
-            self._breaks = tuple(pts)
-        return self._breaks
 
 
 def pw_max(f: PiecewiseFn, g: PiecewiseFn) -> PiecewiseFn:
@@ -205,7 +164,7 @@ def pw_max(f: PiecewiseFn, g: PiecewiseFn) -> PiecewiseFn:
     """
     if (f.domain_lo, f.domain_hi) != (g.domain_lo, g.domain_hi):
         raise ValueError("pw_max requires identical domains")
-    cuts = sorted(set(f.breaks) | set(g.breaks))
+    cuts = sorted({f.domain_lo, *f.ends, *g.ends})
     segs: list[Segment] = []
 
     def point(x: Fraction) -> None:

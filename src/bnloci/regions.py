@@ -15,11 +15,12 @@ remove isolated points or segments from the semistable statement.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .bncore import beta_untwisted, serre_dual_point, slope_point
 from .exactq import PiecewiseFn, Rational, RationalLike, Segment, as_rational, rat_ceil
@@ -156,8 +157,33 @@ def fg_eval(g: int, mu: RationalLike) -> Fraction:
     return fg_piecewise(g)(as_rational(mu))
 
 
-def _in_window(g: int, mu: Fraction, lam: Fraction) -> bool:
-    return 0 <= mu <= 2 * (g - 1) and lam > 0
+def _membership(g: int, mu: RationalLike, lam: RationalLike, kind: StabilityKind,
+                top: Callable[[int, Fraction], Fraction],
+                exclusion: Callable[[int, Fraction, Fraction], Optional[str]]
+                ) -> RegionVerdict:
+    # inside means 0 <= mu <= 2g-2 and 0 < lam <= top(g, mu); the stable
+    # locus also loses the points the family's exclusion rule names
+    mu, lam = as_rational(mu), as_rational(lam)
+    if not (0 <= mu <= 2 * (g - 1) and lam > 0):
+        return RegionVerdict(inside=False)
+    lam_top = top(g, mu)
+    if lam > lam_top:
+        return RegionVerdict(inside=False)
+    reason = exclusion(g, mu, lam) if kind is StabilityKind.STABLE else None
+    return RegionVerdict(inside=True, on_boundary=(lam == lam_top),
+                         excluded_for_stable=reason is not None,
+                         exclusion_reason=reason)
+
+
+def _t_exclusion(g: int, mu: Fraction, lam: Fraction) -> Optional[str]:
+    s = rat_ceil(lam)
+    if mu.denominator != 1 or mu != eta_hat_prime(g, s) + 1:
+        return None
+    if eta_hat_prime(g, s) + 1 != eta_hat_prime(g, s + 1):
+        return EXCLUSION_T_GAP
+    if beta_untwisted(g, 1, int(mu) + 1, s + 1) <= 0:
+        return EXCLUSION_T_PETRI_LINE
+    return None
 
 
 def membership_T(g: int, mu: RationalLike, lam: RationalLike,
@@ -171,45 +197,30 @@ def membership_T(g: int, mu: RationalLike, lam: RationalLike,
     two conditions are recorded separately; the union is applied because
     they are stated as restatements but are not literally identical.
     """
-    mu, lam = as_rational(mu), as_rational(lam)
-    if not _in_window(g, mu, lam):
-        return RegionVerdict(inside=False)
-    top = tg_eval(g, mu)
-    if lam > top:
-        return RegionVerdict(inside=False)
-    verdict = RegionVerdict(inside=True, on_boundary=(lam == top))
-    if kind is not StabilityKind.STABLE:
-        return verdict
-    s = rat_ceil(lam)
-    if mu.denominator != 1 or mu != eta_hat_prime(g, s) + 1:
-        return verdict
-    reason: Optional[str] = None
-    if eta_hat_prime(g, s) + 1 != eta_hat_prime(g, s + 1):
-        reason = EXCLUSION_T_GAP
-    elif beta_untwisted(g, 1, int(mu) + 1, s + 1) <= 0:
-        reason = EXCLUSION_T_PETRI_LINE
-    if reason is None:
-        return verdict
-    return RegionVerdict(inside=True, on_boundary=verdict.on_boundary,
-                         excluded_for_stable=True, exclusion_reason=reason)
-
-
-def _spike_index(g: int, mu: Fraction) -> Optional[int]:
-    # unique s with eta(s) == mu <= g-1, if any; eta is strictly increasing
-    if mu.denominator != 1 or mu < 0 or mu > g - 1:
-        return None
-    m = int(mu)
-    for s in range(1, math.isqrt(g) + 1):
-        if eta_hat(g, s) == m:
-            return s
-    return None
+    return _membership(g, mu, lam, kind, tg_eval, _t_exclusion)
 
 
 def _bmno_spike_excluded(g: int, mu: Fraction, lam: Fraction) -> bool:
-    s = _spike_index(g, mu)
-    if s is None:
+    # the spike column mu = eta(s) <= g-1 loses its top above the incoming
+    # ramp level; eta strictly increases in s, so its s is found by bisection
+    if mu.denominator != 1 or mu < 0 or mu > g - 1:
+        return False
+    s_max = math.isqrt(g)
+    s = 1 + bisect_left(range(1, s_max + 1), mu, key=lambda i: eta_hat(g, i))
+    if s > s_max or eta_hat(g, s) != mu:
         return False
     return lam > Fraction(s - 1, g) + (s - 1)
+
+
+def _bmno_exclusion(g: int, mu: Fraction, lam: Fraction) -> Optional[str]:
+    if _bmno_spike_excluded(g, mu, lam):
+        return EXCLUSION_BMNO_ETA_HAT
+    dual = serre_dual_point(g, slope_point(mu, lam))
+    if _bmno_spike_excluded(g, dual.mu, dual.lam):
+        return EXCLUSION_SERRE_DUAL
+    if lam.denominator == 1 and lam >= 1 and mu == eta_hat(g, int(lam)) + 1:
+        return EXCLUSION_BMNO_ETA_HAT_PLUS_ONE
+    return None
 
 
 def membership_BMNO(g: int, mu: RationalLike, lam: RationalLike,
@@ -221,28 +232,7 @@ def membership_BMNO(g: int, mu: RationalLike, lam: RationalLike,
     the incoming ramp level, the Serre duals of those, and the isolated
     integer points one step past each spike at integer height.
     """
-    mu, lam = as_rational(mu), as_rational(lam)
-    if not _in_window(g, mu, lam):
-        return RegionVerdict(inside=False)
-    top = fg_eval(g, mu)
-    if lam > top:
-        return RegionVerdict(inside=False)
-    verdict = RegionVerdict(inside=True, on_boundary=(lam == top))
-    if kind is not StabilityKind.STABLE:
-        return verdict
-    reason: Optional[str] = None
-    if _bmno_spike_excluded(g, mu, lam):
-        reason = EXCLUSION_BMNO_ETA_HAT
-    else:
-        dual = serre_dual_point(g, slope_point(mu, lam))
-        if _bmno_spike_excluded(g, dual.mu, dual.lam):
-            reason = EXCLUSION_SERRE_DUAL
-        elif lam.denominator == 1 and lam >= 1 and mu == eta_hat(g, int(lam)) + 1:
-            reason = EXCLUSION_BMNO_ETA_HAT_PLUS_ONE
-    if reason is None:
-        return verdict
-    return RegionVerdict(inside=True, on_boundary=verdict.on_boundary,
-                         excluded_for_stable=True, exclusion_reason=reason)
+    return _membership(g, mu, lam, kind, fg_eval, _bmno_exclusion)
 
 
 RegionPoint = tuple[Union[Fraction, float], Union[Fraction, float]]

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from bnloci import cli, selftest
+from bnloci import cli, oracle, selftest
 from timing import time_limit
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -413,6 +413,16 @@ def test_selftest_passes(capsys):
     assert run(capsys, ["selftest", "--trials", "0"])[0] == 1
 
 
+def test_cli_import_leaves_selftest_unloaded():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", "import sys, bnloci.cli; "
+                           "print('bnloci.selftest' in sys.modules)"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.stdout == "False\n"
+
+
 def test_selftest_reports_the_first_failed_check(capsys, monkeypatch):
     monkeypatch.setattr(selftest, "c6_enumerate", lambda g, n1, k1: [])
     code, out = run(capsys, ["selftest", "--trials", "1"])
@@ -471,6 +481,22 @@ def test_decide_of_too_long_a_count_is_refused_before_deciding(capsys, monkeypat
     assert captured.out == ""
     assert captured.err == ("error: output decision.beta has more than 4300 digits, "
                             "more than can be printed\n")
+
+
+@pytest.mark.parametrize("p1, p2", [
+    ("3,8,9", f"{'9' * 4299},5,1"),  # 2*g*n2 has 4301 digits
+    (f"5{'0' * 4299},5,1", "3,8,9"),  # 2*n1 = 10^4300
+], ids=["2*g*n2", "2*n1"])
+def test_product_window_bound_of_too_many_digits_is_refused(capsys, monkeypatch, p1, p2):
+    def refuse(*args):
+        raise AssertionError("formatted a window bound that cannot be printed")
+
+    monkeypatch.setattr(oracle, "product_windows", refuse)
+    assert cli.main(["product", "--genus", "9", "--p1", p1, "--p2", p2]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: slope window bound 2*n1 or 2*g*n2 has more than "
+                            "4300 digits, more than can be printed\n")
 
 
 def test_negativity_cap_of_too_many_digits_is_named(capsys):

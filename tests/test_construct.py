@@ -24,6 +24,7 @@ from bnloci.construct import (
     bpn_membership,
     bpn_new_points,
     c6_enumerate,
+    grid_slopes,
     kernel_beta_quadratic,
     kernel_construct,
     kernel_k_max,
@@ -38,7 +39,6 @@ from bnloci.exactq import (
     Rational,
     RationalLike,
     as_rational,
-    quad_max_on_interval,
     rat_ceil,
 )
 from bnloci.oracle import CurveClass, Status
@@ -307,13 +307,53 @@ def _affine_on(fn: PiecewiseFn, lo: Rational, hi: Rational) -> tuple[Rational, R
     return seg.slope, seg.intercept
 
 
+def _affine_product(a1: Rational, b1: Rational, a2: Rational, b2: Rational) -> Quadratic:
+    """The quadratic (a1*t + b1)*(a2*t + b2)."""
+    return Quadratic(a1 * a2, a1 * b2 + a2 * b1, b1 * b2)
+
+
+def _quad_max_on_interval(q: Quadratic, lo: Rational, hi: Rational) -> tuple[Rational, Rational]:
+    """Exact maximiser (argmax, max) of q on the closed interval [lo, hi].
+
+    For concave q with interior vertex the vertex wins; otherwise the
+    better endpoint does.  Ties go to the smaller argument.
+    """
+    candidates = [lo, hi]
+    if q.a < 0:
+        vertex = -q.b / (2 * q.a)
+        if lo < vertex < hi:
+            candidates.append(vertex)
+    best_t = None
+    best_v = None
+    for t in candidates:
+        v = q(t)
+        if best_v is None or v > best_v or (v == best_v and t < best_t):
+            best_t, best_v = t, v
+    return best_t, best_v
+
+
+@given(st.fractions(min_value=-5, max_value=5, max_denominator=8),
+       st.fractions(min_value=-5, max_value=5, max_denominator=8),
+       st.fractions(min_value=-5, max_value=5, max_denominator=8))
+def test_quad_max_dominates_brute_scan(a, b, c):
+    q = Quadratic(a, b, c)
+    lo, hi = Q(-2), Q(3)
+    argmax, val = _quad_max_on_interval(q, lo, hi)
+    assert q(argmax) == val
+    step = Q(hi - lo, 1024)
+    for i in range(1025):
+        x = lo + i * step
+        # nothing left of the maximiser ties with it
+        assert q(x) < val if x < argmax else q(x) <= val
+
+
 def _ref_bpn_direct(g: int, mu: Rational) -> Optional[_DirectBest]:
     w_hi = min(Q(2), mu)
     if w_hi <= 0:
         return None
     env = _upper_envelope(g)
     pts = {Q(0), w_hi}
-    for b in env.breaks:
+    for b in {x for seg in env.segments for x in (seg.lo, seg.hi)}:
         if 0 < b < w_hi:
             pts.add(b)
         rb = mu - b
@@ -334,8 +374,8 @@ def _ref_bpn_direct(g: int, mu: Rational) -> Optional[_DirectBest]:
     for lo, hi in zip(grid, grid[1:]):
         s1, i1 = _affine_on(env, lo, hi)
         s2, i2 = _affine_on(env, mu - hi, mu - lo)
-        quad = Quadratic.from_affine_product(s1, i1, -s2, s2 * mu + i2)
-        t_hat, val = quad_max_on_interval(quad, lo, hi)
+        quad = _affine_product(s1, i1, -s2, s2 * mu + i2)
+        t_hat, val = _quad_max_on_interval(quad, lo, hi)
         consider(_DirectBest(val, lo < t_hat < hi, t_hat,
                              s1 * t_hat + i1, -s2 * t_hat + s2 * mu + i2))
     return best
@@ -399,18 +439,25 @@ def test_bpn_matches_full_scan_on_random_slopes(g, data):
     _assert_matches_reference(g, [Q(p, q)])
 
 
+class _WindowOnly(list):
+    """A key list that can be bisected and sliced but not walked whole."""
+
+    def __iter__(self):
+        raise AssertionError("a slope query walked the full key list")
+
+
 def test_warm_bpn_query_reads_no_full_breakpoint_list(monkeypatch):
     bpn_boundary(40, 1)
-    breaks = PiecewiseFn.breaks.fget
-
-    def cached_only(self):
-        if self._breaks is None:
-            raise AssertionError("a slope query rebuilt the breakpoint list")
-        return breaks(self)
-
-    monkeypatch.setattr(PiecewiseFn, "breaks", property(cached_only))
+    env = _upper_envelope(40)
+    monkeypatch.setattr(env, "ends", _WindowOnly(env.ends))
     for i in range(1, 51):
         assert bpn_boundary(40, Q(31 * i, 20)).boundary > 0
+
+
+def test_grid_slopes_walk_the_step_grid():
+    assert grid_slopes(3, Q(3, 2)) == [Q(3, 2), Q(3)]
+    assert grid_slopes(3, "4") == [Q(4)]
+    assert grid_slopes(3, 5) == []
 
 
 def test_bpn_new_points_bounds_the_grid(monkeypatch):

@@ -12,7 +12,6 @@ from bnloci.exactq import (
     Quadratic,
     Segment,
     pw_max,
-    quad_max_on_interval,
     rat_ceil,
     rat_floor,
 )
@@ -39,52 +38,9 @@ def test_quadratic_eval_and_product():
     q = Quadratic(Q(1), Q(-3), Q(2))
     assert q(0) == 2
     assert q(Q(3, 2)) == Q(-1, 4)
-    p = Quadratic.from_affine_product(Q(1, 10), Q(1), Q(-1, 10), Q(11, 10))
-    # (1 + t/10)(1 + (1-t)/10)
+    # (1 + t/10)(1 + (1-t)/10) expanded
+    p = Quadratic(Q(-1, 100), Q(1, 100), Q(11, 10))
     assert p(Q(1, 2)) == Q(441, 400)
-
-
-def test_quad_max_concave_vertex():
-    # (1 + t/10)(1 + (1-t)/10) on [0, 1]: vertex at t = 1/2
-    q = Quadratic.from_affine_product(Q(1, 10), Q(1), Q(-1, 10), Q(11, 10))
-    argmax, val = quad_max_on_interval(q, 0, 1)
-    assert (argmax, val) == (Q(1, 2), Q(441, 400))
-
-
-def test_quad_max_vertex_outside():
-    # -t^2 + 11 t - 7 on [9, 13]: vertex 11/2 lies left of the interval
-    q = Quadratic(Q(-1), Q(11), Q(-7))
-    argmax, val = quad_max_on_interval(q, 9, 13)
-    assert (argmax, val) == (Q(9), Q(11))
-
-
-def test_quad_max_affine():
-    q = Quadratic(Q(0), Q(1), Q(0))
-    assert quad_max_on_interval(q, 0, 2) == (Q(2), Q(2))
-
-
-def test_quad_max_tie_prefers_smaller_arg():
-    # symmetric convex parabola: both endpoints attain the max
-    q = Quadratic(Q(1), Q(0), Q(0))
-    assert quad_max_on_interval(q, -2, 2) == (Q(-2), Q(4))
-
-
-def test_quad_max_empty_interval_rejected():
-    with pytest.raises(ValueError):
-        quad_max_on_interval(Quadratic(Q(1), Q(0), Q(0)), 1, 0)
-
-
-@given(st.fractions(min_value=-5, max_value=5, max_denominator=8),
-       st.fractions(min_value=-5, max_value=5, max_denominator=8),
-       st.fractions(min_value=-5, max_value=5, max_denominator=8))
-def test_quad_max_dominates_brute_scan(a, b, c):
-    q = Quadratic(a, b, c)
-    lo, hi = Q(-2), Q(3)
-    argmax, val = quad_max_on_interval(q, lo, hi)
-    assert q(argmax) == val
-    step = Q(hi - lo, 1024)
-    for i in range(1025):
-        assert q(lo + i * step) <= val
 
 
 def _step_fn() -> PiecewiseFn:
@@ -159,7 +115,7 @@ def test_pw_max_with_crossing():
     assert h(Q(1, 2)) == Q(3, 2)
     assert h(Q(3, 2)) == Q(3, 2)
     assert h(2) == 2
-    assert Q(1) in h.breaks
+    assert Q(1) in h.ends
 
 
 def test_pw_max_keeps_spikes_and_drops_uncarried_ends():

@@ -127,6 +127,21 @@ def test_fg_serre_consistency():
             assert fg_eval(g, mu) == fg_eval(g, 2 * g - 2 - mu) + mu - (g - 1)
 
 
+def test_tg_serre_consistency():
+    for g in range(2, 41):
+        for num in range(0, 8 * (2 * g - 2) + 1):
+            mu = Q(num, 8)
+            assert tg_eval(g, 2 * g - 2 - mu) + mu - (g - 1) == tg_eval(g, mu)
+
+
+@settings(max_examples=300)
+@given(st.integers(min_value=2, max_value=60), st.data())
+def test_tg_is_serre_symmetric_at_random_slopes(g, data):
+    q = data.draw(st.integers(min_value=1, max_value=3 * g))
+    mu = Q(data.draw(st.integers(min_value=0, max_value=q * (2 * g - 2))), q)
+    assert tg_eval(g, 2 * g - 2 - mu) + mu - (g - 1) == tg_eval(g, mu)
+
+
 def test_out_of_domain_rejected():
     from bnloci.exactq import DomainError
     with pytest.raises(DomainError):
