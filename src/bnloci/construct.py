@@ -200,8 +200,6 @@ def _upper_envelope(g: int) -> PiecewiseFn:
 def _bpn_direct(g: int, mu: Rational) -> Optional[tuple]:
     """Exact sup of F(t)*F(mu - t) over the open window t in (0, min(2, mu)).
 
-    Returns (value, attained, t, F(t), F(mu - t)) of the best candidate.
-
     With w = min(2, mu), the grid is {0, w}, the envelope breakpoints b
     with 0 < b < w, and the reflections mu - b of those with
     mu - w < b < mu.  Both slices are bisected out of the envelope's
@@ -215,8 +213,9 @@ def _bpn_direct(g: int, mu: Rational) -> Optional[tuple]:
     maximum sitting on an open edge is recorded as a limit
     (attained=False).  Grid points interior to the window contribute
     their true values, which is how isolated spikes of F enter.  The
-    best candidate has the largest (value, attained, -t); among equal
-    keys the leftmost gap wins.
+    best candidate, returned as (value, attained, t, F(t), F(mu - t)),
+    has the largest (value, attained, -t); among equal keys the leftmost
+    gap wins.
     """
     w_hi = min(Fraction(2), mu)
     if w_hi <= 0:
@@ -232,12 +231,14 @@ def _bpn_direct(g: int, mu: Rational) -> Optional[tuple]:
     left = 0
     right = bisect_left(ends, mu)
     best: Optional[tuple] = None
+    best_key: Optional[tuple] = None
 
     def consider(value: Rational, attained: bool, t: Rational,
                  lam1: Rational, lam2: Rational) -> None:
-        nonlocal best
-        if best is None or (value, attained, -t) > (best[0], best[1], -best[2]):
-            best = (value, attained, t, lam1, lam2)
+        nonlocal best, best_key
+        key = (value, attained, -t)
+        if best_key is None or key > best_key:
+            best, best_key = (value, attained, t, lam1, lam2), key
 
     last = len(grid) - 2
     for k, (lo, hi) in enumerate(zip(grid, grid[1:])):

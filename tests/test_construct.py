@@ -290,7 +290,8 @@ def test_bpn_new_points_examples():
 
 
 # reference: the full-breakpoint scan that bpn_boundary replaced, kept
-# verbatim as an oracle; it reads every envelope breakpoint per slope
+# as an oracle with its own quadratic maximiser; it reads every envelope
+# breakpoint per slope, from the segments rather than the key list
 
 
 @dataclass(frozen=True)
