@@ -4,6 +4,8 @@ Products of small-slope bundles, kernels of evaluation-style surjections,
 and the induced boundary curve in the (slope, section density) plane.
 Everything is exact: boundaries are piecewise-rational, suprema over open
 windows are computed symbolically with attainment tracked separately.
+A boundary query runs on ints over one common denominator of its genus
+and slope, and builds Fractions only for its answer.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .bncore import (
 from .exactq import (
     MAX_DIGITS,
     DomainError,
-    PiecewiseFn,
     Quadratic,
     Rational,
     RationalLike,
@@ -192,9 +193,16 @@ def product_negativity_search(g: int, mu1: RationalLike, lam1: RationalLike,
 
 
 @lru_cache(maxsize=None)
-def _upper_envelope(g: int) -> PiecewiseFn:
-    # pointwise max of the staircase and sawtooth boundaries
-    return pw_max(fg_piecewise(g), tg_piecewise(g))
+def _envelope_table(g: int) -> tuple:
+    """The envelope F = max(f_g, t_g) as (D, lo, hi, slope, intercept,
+    lo_closed, hi_closed): D is the lcm of every denominator in F, then
+    come int lists of each segment's ends, slope and intercept times D,
+    and its closures.  `hi` is the key list queries bisect."""
+    segs = pw_max(fg_piecewise(g), tg_piecewise(g)).segments
+    cols = [[getattr(s, name) for s in segs] for name in ("lo", "hi", "slope", "intercept")]
+    den = lcm(*{x.denominator for col in cols for x in col})
+    return (den, *([x.numerator * (den // x.denominator) for x in col] for col in cols),
+            [s.lo_closed for s in segs], [s.hi_closed for s in segs])
 
 
 def _bpn_direct(g: int, mu: Rational) -> Optional[tuple]:
@@ -202,10 +210,10 @@ def _bpn_direct(g: int, mu: Rational) -> Optional[tuple]:
 
     With w = min(2, mu), the grid is {0, w}, the envelope breakpoints b
     with 0 < b < w, and the reflections mu - b of those with
-    mu - w < b < mu.  Both slices are bisected out of the envelope's
-    key list of segment ends, and each factor's segments are found by
-    walking in from an end of its window.  Once the genus's O(g)
-    envelope exists, a query therefore costs O(log g) plus the few
+    mu - w < b < mu.  Both slices are bisected out of the envelope
+    table's key list of segment ends, and each factor's segments are
+    found by walking in from an end of its window.  Once the genus's
+    O(g) table exists, a query therefore costs O(log g) plus the few
     breakpoints inside the width-2 window.
 
     Between grid points both factors are affine, so each gap is
@@ -216,74 +224,78 @@ def _bpn_direct(g: int, mu: Rational) -> Optional[tuple]:
     best candidate, returned as (value, attained, t, F(t), F(mu - t)),
     has the largest (value, attained, -t); among equal keys the leftmost
     gap wins.
-    """
-    w_hi = min(Fraction(2), mu)
-    if w_hi <= 0:
-        return None
-    env = _upper_envelope(g)
-    ends, segs = env.ends, env.segments
-    pts = {Fraction(0), w_hi}
-    pts.update(ends[bisect_right(ends, 0):bisect_left(ends, w_hi)])
-    pts.update(mu - b for b in ends[bisect_right(ends, mu - w_hi):bisect_left(ends, mu)])
-    grid = sorted(pts)
-    # indices into segs: `left` walks rightward over t from the first
-    # segment, `right` leftward over mu - t from the one ending at or past mu
-    left = 0
-    right = bisect_left(ends, mu)
-    best: Optional[tuple] = None
-    best_key: Optional[tuple] = None
 
-    def consider(value: Rational, attained: bool, t: Rational,
-                 lam1: Rational, lam2: Rational) -> None:
-        nonlocal best, best_key
-        key = (value, attained, -t)
-        if best_key is None or key > best_key:
-            best, best_key = (value, attained, t, lam1, lam2), key
+    The walk runs on ints: for mu = p/q and the table's denominator D,
+    t = T/M with M = D*q puts every grid point at an int T and every
+    value of F at an int over E = D*M; only the winner becomes Fractions.
+    """
+    p, q = mu.numerator, mu.denominator
+    if p <= 0:
+        return None
+    den, los, his, slopes, icpts, lo_closed, hi_closed = _envelope_table(g)
+    m = den * q
+    mu_m = p * den
+    w = min(2 * m, mu_m)
+    mu_end = bisect_left(his, -(-mu_m // q))
+    pts = {0, w}
+    pts.update(h * q for h in his[bisect_right(his, 0):bisect_left(his, -(-w // q))])
+    pts.update(mu_m - h * q for h in his[bisect_right(his, (mu_m - w) // q):mu_end])
+    grid = sorted(pts)
+    # indices into the table: `left` walks rightward over t from the first
+    # segment, `right` leftward over mu - t from the one ending at or past mu
+    left, right = 0, mu_end
+    # a candidate (v, d, attained, t, l1, l2) stands for the value v/(d*E)**2
+    # at t/(d*M) with factors l1/(d*E) and l2/(d*E)
+    best: Optional[tuple] = None
+
+    def consider(v: int, d: int, attained: bool, t: int, l1: int, l2: int) -> None:
+        nonlocal best
+        if best is not None:
+            bv, bd, b_attained, bt = best[:4]
+            x, y = v * bd * bd, bv * d * d
+            if x < y or x == y and (attained, bt * d) <= (b_attained, t * bd):
+                return
+        best = (v, d, attained, t, l1, l2)
 
     last = len(grid) - 2
     for k, (lo, hi) in enumerate(zip(grid, grid[1:])):
         # the open gap (lo, hi) holds no breakpoint of either factor
-        while segs[left].hi <= lo:
+        while his[left] * q <= lo:
             left += 1
-        v = mu - lo
-        while segs[right].lo >= v:
+        v = mu_m - lo
+        while los[right] * q >= v:
             right -= 1
-        s1, i1 = segs[left].slope, segs[left].intercept
-        s2 = segs[right].slope
-        c2 = s2 * mu + segs[right].intercept
-        # F(t) = s1*t + i1 and F(mu - t) = c2 - s2*t on the gap
-        t_hat = None
-        if s1 * s2 > 0:
-            vertex = (s1 * c2 - s2 * i1) / (2 * s1 * s2)
-            if lo < vertex < hi:
-                t_hat = vertex
-        if t_hat is None:
-            lo1, lo2 = s1 * lo + i1, c2 - s2 * lo
-            hi1, hi2 = s1 * hi + i1, c2 - s2 * hi
-            at_lo, at_hi = lo1 * lo2, hi1 * hi2
-            if at_hi > at_lo:
-                consider(at_hi, False, hi, hi1, hi2)
-            else:
-                consider(at_lo, False, lo, lo1, lo2)
+        a1, b1 = slopes[left], icpts[left] * m
+        a2 = slopes[right]
+        c2 = a2 * mu_m + icpts[right] * m
+        # F(t) = (a1*T + b1)/E and F(mu - t) = (c2 - a2*T)/E on the gap
+        vden = 2 * a1 * a2
+        vnum = a1 * c2 - a2 * b1
+        if vden > 0 and lo * vden < vnum < hi * vden:
+            l1, l2 = a1 * vnum + b1 * vden, c2 * vden - a2 * vnum
+            consider(l1 * l2, vden, True, vnum, l1, l2)
         else:
-            lam1, lam2 = s1 * t_hat + i1, c2 - s2 * t_hat
-            consider(lam1 * lam2, True, t_hat, lam1, lam2)
+            lo1, lo2 = a1 * lo + b1, c2 - a2 * lo
+            hi1, hi2 = a1 * hi + b1, c2 - a2 * hi
+            if hi1 * hi2 > lo1 * lo2:
+                consider(hi1 * hi2, 1, False, hi, hi1, hi2)
+            else:
+                consider(lo1 * lo2, 1, False, lo, lo1, lo2)
         if k == last:
             break
         # the grid point hi is interior to the window
-        seg = segs[left]
-        while seg.hi < hi or (seg.hi == hi and not seg.hi_closed):
+        while his[left] * q < hi or (his[left] * q == hi and not hi_closed[left]):
             left += 1
-            seg = segs[left]
-        lam1 = seg.slope * hi + seg.intercept
-        y = mu - hi
-        seg = segs[right]
-        while seg.lo > y or (seg.lo == y and not seg.lo_closed):
+        y = mu_m - hi
+        while los[right] * q > y or (los[right] * q == y and not lo_closed[right]):
             right -= 1
-            seg = segs[right]
-        lam2 = seg.slope * y + seg.intercept
-        consider(lam1 * lam2, True, hi, lam1, lam2)
-    return best
+        l1 = slopes[left] * hi + icpts[left] * m
+        l2 = slopes[right] * y + icpts[right] * m
+        consider(l1 * l2, 1, True, hi, l1, l2)
+    v, d, attained, t, l1, l2 = best
+    de = d * den * m
+    return (Fraction(v, de * de), attained, Fraction(t, d * m),
+            Fraction(l1, de), Fraction(l2, de))
 
 
 @dataclass(frozen=True)
@@ -307,9 +319,9 @@ def bpn_boundary(g: int, mu: RationalLike) -> BPNQuery:
     decomposition records (mu1, mu2, lam1, lam2) on the branch's own
     side, so for the reflected branch it describes the dual slope.
 
-    The first query at a genus builds the O(g) envelope F; every later
-    query reads only the envelope breakpoints inside its window and
-    costs O(log g).
+    The first query at a genus builds the O(g) envelope F as an int
+    table; every later query reads only the envelope breakpoints inside
+    its window and costs O(log g).
     """
     if g < 2:
         raise DomainError(f"genus must be at least 2, got {g}")

@@ -166,19 +166,29 @@ def pw_max(f: PiecewiseFn, g: PiecewiseFn) -> PiecewiseFn:
         raise ValueError("pw_max requires identical domains")
     cuts = sorted({f.domain_lo, *f.ends, *g.ends})
     segs: list[Segment] = []
+    # one index per operand, advanced through its segments as the cuts rise
+    at = [0, 0]
+
+    def seg_past(j: int, x: Fraction, on_x: bool) -> Segment | None:
+        # the first segment of operand j carrying x (on_x) or the open gap right of x
+        ops = (f, g)[j].segments
+        i = at[j]
+        while i < len(ops) and (ops[i].hi < x or ops[i].hi == x
+                                and not (on_x and ops[i].hi_closed)):
+            i += 1
+        at[j] = i
+        return ops[i] if i < len(ops) else None
 
     def point(x: Fraction) -> None:
         # domain ends may be open in one operand; the max is then undefined there
-        try:
-            v1, v2 = f(x), g(x)
-        except DomainError:
+        s1, s2 = seg_past(0, x, True), seg_past(1, x, True)
+        if s1 is None or s2 is None or not (s1.contains(x) and s2.contains(x)):
             return
-        segs.append(Segment(x, x, True, True, Fraction(0), max(v1, v2)))
+        segs.append(Segment(x, x, True, True, Fraction(0), max(s1.value(x), s2.value(x))))
 
     def interval(u: Fraction, v: Fraction) -> None:
         mid = (u + v) / 2
-        s1 = f.segment_at(mid)
-        s2 = g.segment_at(mid)
+        s1, s2 = seg_past(0, u, False), seg_past(1, u, False)
         a1, b1 = s1.slope, s1.intercept
         a2, b2 = s2.slope, s2.intercept
         x_cross = (b2 - b1) / (a1 - a2) if a1 != a2 else None

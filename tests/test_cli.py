@@ -5,11 +5,13 @@ import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from bnloci import cli, oracle, selftest
+from bnloci.construct import bpn_boundary
 from timing import time_limit
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -137,6 +139,14 @@ def test_bpn_new_points(capsys):
     lines = out.splitlines()
     assert lines[0] == "mu,boundary,t_value,f_value,margin_t,margin_f,attained,branch"
     assert any(line.startswith("3,441/400,") for line in lines[1:])
+
+
+def test_bpn_boundary_at_a_slope_of_3000_digits(capsys):
+    q = 10**2999 + 7
+    code, doc = run_json(capsys, ["bpn", "--genus", "10", "--mu", f"{10 * q + 1}/{q}",
+                                  "--boundary"])
+    assert code == 0
+    assert doc["boundary"] == str(bpn_boundary(10, Fraction(10 * q + 1, q)).boundary)
 
 
 def test_bpn_needs_one_mode(capsys):

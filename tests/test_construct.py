@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from functools import lru_cache
 from math import lcm
 from typing import Optional
 
@@ -19,7 +21,6 @@ from bnloci.construct import (
     NegativityWitness,
     BPNQuery,
     ConstructError,
-    _upper_envelope,
     bpn_boundary,
     bpn_membership,
     bpn_new_points,
@@ -39,10 +40,11 @@ from bnloci.exactq import (
     Rational,
     RationalLike,
     as_rational,
+    pw_max,
     rat_ceil,
 )
 from bnloci.oracle import CurveClass, Status
-from bnloci.regions import StabilityKind, fg_eval, tg_eval
+from bnloci.regions import StabilityKind, fg_eval, fg_piecewise, tg_eval, tg_piecewise
 from timing import time_limit
 
 STABLE = StabilityKind.STABLE
@@ -348,11 +350,16 @@ def test_quad_max_dominates_brute_scan(a, b, c):
         assert q(x) < val if x < argmax else q(x) <= val
 
 
+@lru_cache(maxsize=None)
+def _ref_envelope(g: int) -> PiecewiseFn:
+    return pw_max(fg_piecewise(g), tg_piecewise(g))
+
+
 def _ref_bpn_direct(g: int, mu: Rational) -> Optional[_DirectBest]:
     w_hi = min(Q(2), mu)
     if w_hi <= 0:
         return None
-    env = _upper_envelope(g)
+    env = _ref_envelope(g)
     pts = {Q(0), w_hi}
     for b in {x for seg in env.segments for x in (seg.lo, seg.hi)}:
         if 0 < b < w_hi:
@@ -411,9 +418,16 @@ def _ref_bpn_boundary(g: int, mu: RationalLike) -> BPNQuery:
 
 
 def _assert_matches_reference(g: int, slopes) -> None:
-    # repr, unlike ==, also tells an int from an equal Fraction
-    for mu in slopes:
-        assert repr(bpn_boundary(g, mu)) == repr(_ref_bpn_boundary(g, mu))
+    # repr, unlike ==, also tells an int from an equal Fraction; a slope
+    # of d digits gives answers of up to about 2d, which repr refuses past
+    # Python's int-to-text limit unless it is lifted
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        for mu in slopes:
+            assert repr(bpn_boundary(g, mu)) == repr(_ref_bpn_boundary(g, mu))
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 @pytest.mark.parametrize("g", [*range(2, 13), 20, 40])
@@ -435,22 +449,45 @@ def test_bpn_matches_full_scan_on_tie_prone_slopes(g):
 @settings(max_examples=150, deadline=None)
 @given(st.integers(min_value=2, max_value=40), st.data())
 def test_bpn_matches_full_scan_on_random_slopes(g, data):
-    q = data.draw(st.integers(min_value=1, max_value=3 * g))
+    q = data.draw(st.integers(min_value=1, max_value=3 * g)
+                  | st.integers(min_value=1, max_value=10**6))
     p = data.draw(st.integers(min_value=0, max_value=q * (2 * g - 2)))
     _assert_matches_reference(g, [Q(p, q)])
 
 
+@pytest.mark.parametrize("g", [2, 5, 10, 40])
+def test_bpn_matches_full_scan_at_window_edges(g):
+    # slopes in (0, 2), where the window is (0, mu), the slopes 2 and
+    # 2g - 2, and a step 1/q to either side of every envelope breakpoint
+    top = 2 * g - 2
+    slopes = {Q(1, 10**6), Q(1, 3), Q(5, 7), Q(19, 10), Q(2), Q(top)}
+    ends = {x for seg in _ref_envelope(g).segments for x in (seg.lo, seg.hi)}
+    for q in (7, 10**6 + 3):
+        slopes.update(b + s * Q(1, q) for b in ends for s in (-1, 1))
+    _assert_matches_reference(g, sorted(mu for mu in slopes if 0 <= mu <= top))
+
+
+@pytest.mark.parametrize("digits", [1000, 2500, 4000])
+def test_bpn_matches_full_scan_on_long_denominators(digits):
+    rng = random.Random(digits)
+    q = rng.randrange(10 ** (digits - 1), 10 ** digits)
+    for g in (10, 40):
+        top = 2 * g - 2
+        _assert_matches_reference(g, [Q(rng.randrange(q * top), q), Q(q - 1, q),
+                                      Q(3 * q + 1, q), top - Q(1, q)])
+
+
 class _WindowOnly(list):
-    """A key list that can be bisected and sliced but not walked whole."""
+    """A table list that can be bisected, indexed and sliced but not walked whole."""
 
     def __iter__(self):
         raise AssertionError("a slope query walked the full key list")
 
 
 def test_warm_bpn_query_reads_no_full_breakpoint_list(monkeypatch):
-    bpn_boundary(40, 1)
-    env = _upper_envelope(40)
-    monkeypatch.setattr(env, "ends", _WindowOnly(env.ends))
+    den, *cols = construct._envelope_table(40)
+    monkeypatch.setattr(construct, "_envelope_table",
+                        lambda g: (den, *map(_WindowOnly, cols)))
     for i in range(1, 51):
         assert bpn_boundary(40, Q(31 * i, 20)).boundary > 0
 

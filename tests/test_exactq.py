@@ -15,6 +15,7 @@ from bnloci.exactq import (
     rat_ceil,
     rat_floor,
 )
+from bnloci.regions import fg_piecewise, tg_piecewise
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=40)
 
@@ -135,6 +136,7 @@ def test_pw_max_keeps_spikes_and_drops_uncarried_ends():
     assert h(2) == 2
     assert [(s.lo, s.hi) for s in h.segments] == [
         (0, 1), (1, 1), (1, 2), (2, 2)]
+    assert h.segments == _ref_pw_max(f, g).segments
 
 
 def test_pw_max_requires_same_domain():
@@ -165,3 +167,49 @@ def test_pw_max_matches_pointwise_scan(cuts, data):
     for i in range(65):
         x = lo + i * step
         assert h(x) == max(f(x), g(x))
+    assert h.segments == _ref_pw_max(f, g).segments
+
+
+def _ref_pw_max(f: PiecewiseFn, g: PiecewiseFn) -> PiecewiseFn:
+    # reference: the pointwise maximum that finds both operands' segments
+    # by bisection at every cut and every gap midpoint
+    cuts = sorted({f.domain_lo, *f.ends, *g.ends})
+    segs: list[Segment] = []
+
+    def point(x):
+        try:
+            v1, v2 = f(x), g(x)
+        except DomainError:
+            return
+        segs.append(Segment(x, x, True, True, Q(0), max(v1, v2)))
+
+    def interval(u, v):
+        mid = (u + v) / 2
+        s1, s2 = f.segment_at(mid), g.segment_at(mid)
+        a1, b1, a2, b2 = s1.slope, s1.intercept, s2.slope, s2.intercept
+        x_cross = (b2 - b1) / (a1 - a2) if a1 != a2 else None
+        if x_cross is None or not u < x_cross < v:
+            a, b = (a1, b1) if a1 * mid + b1 >= a2 * mid + b2 else (a2, b2)
+            segs.append(Segment(u, v, False, False, a, b))
+            return
+        left_mid = (u + x_cross) / 2
+        if a1 * left_mid + b1 >= a2 * left_mid + b2:
+            lo_affine, hi_affine = (a1, b1), (a2, b2)
+        else:
+            lo_affine, hi_affine = (a2, b2), (a1, b1)
+        segs.append(Segment(u, x_cross, False, False, *lo_affine))
+        segs.append(Segment(x_cross, x_cross, True, True, Q(0), a1 * x_cross + b1))
+        segs.append(Segment(x_cross, v, False, False, *hi_affine))
+
+    point(cuts[0])
+    for u, v in zip(cuts, cuts[1:]):
+        interval(u, v)
+        point(v)
+    return PiecewiseFn(segs)
+
+
+def test_pw_max_matches_bisecting_reference_on_region_tops():
+    for g in range(2, 61):
+        f, t = fg_piecewise(g), tg_piecewise(g)
+        for a, b in ((f, t), (t, f)):
+            assert pw_max(a, b).segments == _ref_pw_max(a, b).segments
