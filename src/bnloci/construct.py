@@ -194,15 +194,15 @@ def product_negativity_search(g: int, mu1: RationalLike, lam1: RationalLike,
 
 @lru_cache(maxsize=None)
 def _envelope_table(g: int) -> tuple:
-    """The envelope F = max(f_g, t_g) as (D, lo, hi, slope, intercept,
-    lo_closed, hi_closed): D is the lcm of every denominator in F, then
-    come int lists of each segment's ends, slope and intercept times D,
-    and its closures.  `hi` is the key list queries bisect."""
-    segs = pw_max(fg_piecewise(g), tg_piecewise(g)).segments
-    cols = [[getattr(s, name) for s in segs] for name in ("lo", "hi", "slope", "intercept")]
+    """The envelope F = max(f_g, t_g) as (D, breaks, values, slopes,
+    intercepts): D is the lcm of every denominator in F, then come int
+    lists of its breakpoints and its values there, and of the slope and
+    intercept of each open gap, each times D.  `breaks` is the key list
+    queries bisect."""
+    env = pw_max(fg_piecewise(g), tg_piecewise(g))
+    cols = (env.breaks, env.values, [a for a, _ in env.pieces], [b for _, b in env.pieces])
     den = lcm(*{x.denominator for col in cols for x in col})
-    return (den, *([x.numerator * (den // x.denominator) for x in col] for col in cols),
-            [s.lo_closed for s in segs], [s.hi_closed for s in segs])
+    return (den, *([x.numerator * (den // x.denominator) for x in col] for col in cols))
 
 
 def _bpn_direct(g: int, mu: Rational) -> Optional[tuple]:
@@ -211,19 +211,19 @@ def _bpn_direct(g: int, mu: Rational) -> Optional[tuple]:
     With w = min(2, mu), the grid is {0, w}, the envelope breakpoints b
     with 0 < b < w, and the reflections mu - b of those with
     mu - w < b < mu.  Both slices are bisected out of the envelope
-    table's key list of segment ends, and each factor's segments are
-    found by walking in from an end of its window.  Once the genus's
-    O(g) table exists, a query therefore costs O(log g) plus the few
-    breakpoints inside the width-2 window.
+    table's breakpoints, and each factor's pieces are found by walking
+    in from an end of its window.  Once the genus's O(g) table exists, a
+    query therefore costs O(log g) plus the few breakpoints inside the
+    width-2 window.
 
     Between grid points both factors are affine, so each gap is
     maximized as an exact quadratic (ties toward the smaller t); a
     maximum sitting on an open edge is recorded as a limit
     (attained=False).  Grid points interior to the window contribute
-    their true values, which is how isolated spikes of F enter.  The
-    best candidate, returned as (value, attained, t, F(t), F(mu - t)),
-    has the largest (value, attained, -t); among equal keys the leftmost
-    gap wins.
+    their true values, a breakpoint's own value where F has one there,
+    which is how isolated spikes of F enter.  The best candidate,
+    returned as (value, attained, t, F(t), F(mu - t)), has the largest
+    (value, attained, -t); among equal keys the leftmost gap wins.
 
     The walk runs on ints: for mu = p/q and the table's denominator D,
     t = T/M with M = D*q puts every grid point at an int T and every
@@ -232,18 +232,18 @@ def _bpn_direct(g: int, mu: Rational) -> Optional[tuple]:
     p, q = mu.numerator, mu.denominator
     if p <= 0:
         return None
-    den, los, his, slopes, icpts, lo_closed, hi_closed = _envelope_table(g)
+    den, xs, ys, slopes, icpts = _envelope_table(g)
     m = den * q
     mu_m = p * den
     w = min(2 * m, mu_m)
-    mu_end = bisect_left(his, -(-mu_m // q))
+    mu_end = bisect_left(xs, -(-mu_m // q))
     pts = {0, w}
-    pts.update(h * q for h in his[bisect_right(his, 0):bisect_left(his, -(-w // q))])
-    pts.update(mu_m - h * q for h in his[bisect_right(his, (mu_m - w) // q):mu_end])
+    pts.update(x * q for x in xs[1:bisect_left(xs, -(-w // q))])
+    pts.update(mu_m - x * q for x in xs[bisect_right(xs, (mu_m - w) // q):mu_end])
     grid = sorted(pts)
-    # indices into the table: `left` walks rightward over t from the first
-    # segment, `right` leftward over mu - t from the one ending at or past mu
-    left, right = 0, mu_end
+    # piece indices: `left` walks rightward over t from the first gap,
+    # `right` leftward over mu - t from the gap ending at or past mu
+    left, right = 0, mu_end - 1
     # a candidate (v, d, attained, t, l1, l2) stands for the value v/(d*E)**2
     # at t/(d*M) with factors l1/(d*E) and l2/(d*E)
     best: Optional[tuple] = None
@@ -260,10 +260,10 @@ def _bpn_direct(g: int, mu: Rational) -> Optional[tuple]:
     last = len(grid) - 2
     for k, (lo, hi) in enumerate(zip(grid, grid[1:])):
         # the open gap (lo, hi) holds no breakpoint of either factor
-        while his[left] * q <= lo:
+        while xs[left + 1] * q <= lo:
             left += 1
         v = mu_m - lo
-        while los[right] * q >= v:
+        while xs[right] * q >= v:
             right -= 1
         a1, b1 = slopes[left], icpts[left] * m
         a2 = slopes[right]
@@ -283,14 +283,11 @@ def _bpn_direct(g: int, mu: Rational) -> Optional[tuple]:
                 consider(lo1 * lo2, 1, False, lo, lo1, lo2)
         if k == last:
             break
-        # the grid point hi is interior to the window
-        while his[left] * q < hi or (his[left] * q == hi and not hi_closed[left]):
-            left += 1
+        # the grid point hi is interior to the window: each factor takes
+        # its breakpoint's value there, or else its gap's affine value
         y = mu_m - hi
-        while los[right] * q > y or (los[right] * q == y and not lo_closed[right]):
-            right -= 1
-        l1 = slopes[left] * hi + icpts[left] * m
-        l2 = slopes[right] * y + icpts[right] * m
+        l1 = ys[left + 1] * m if xs[left + 1] * q == hi else a1 * hi + b1
+        l2 = ys[right] * m if xs[right] * q == y else c2 - a2 * hi
         consider(l1 * l2, 1, True, hi, l1, l2)
     v, d, attained, t, l1, l2 = best
     de = d * den * m

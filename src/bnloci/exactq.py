@@ -3,8 +3,9 @@
 Everything downstream (Brill-Noether numbers, region tables, boundary
 maximisation) is computed over Q.  This module supplies the few exact
 primitives the rest of the package needs: floor/ceil on rationals,
-quadratics with exact coefficients, piecewise-affine functions with
-explicit endpoint closures, and their pointwise maximum.
+quadratics with exact coefficients, piecewise-affine functions given by
+their breakpoints, their values there and one affine piece per open gap,
+and their pointwise maximum.
 
 No floating point is used anywhere in this module.
 """
@@ -67,147 +68,92 @@ class Quadratic:
         return (self.a * t + self.b) * t + self.c
 
 
-@dataclass(frozen=True)
-class Segment:
-    """One affine piece: slope*x + intercept on an interval with explicit closures.
-
-    A degenerate point segment (lo == hi) must be closed on both sides.
-    """
-
-    lo: Fraction
-    hi: Fraction
-    lo_closed: bool
-    hi_closed: bool
-    slope: Fraction
-    intercept: Fraction
-
-    def __post_init__(self) -> None:
-        for name in ("lo", "hi", "slope", "intercept"):
-            object.__setattr__(self, name, as_rational(getattr(self, name)))
-        if self.lo > self.hi:
-            raise ValueError(f"segment with lo={self.lo} > hi={self.hi}")
-        if self.lo == self.hi and not (self.lo_closed and self.hi_closed):
-            raise ValueError("point segment must be closed on both sides")
-
-    def contains(self, x: Fraction) -> bool:
-        if x < self.lo or x > self.hi:
-            return False
-        if x == self.lo and not self.lo_closed:
-            return False
-        if x == self.hi and not self.hi_closed:
-            return False
-        return True
-
-    def value(self, x: RationalLike) -> Fraction:
-        return self.slope * as_rational(x) + self.intercept
-
-
 class PiecewiseFn:
-    """Piecewise-affine function over an interval of Q.
+    """Piecewise-affine function on a closed interval of Q.
 
-    Segments must be sorted, pairwise disjoint, and tile the domain with
-    no gaps: consecutive segments touch at a shared endpoint carried by
-    exactly one of them.  Evaluation therefore selects exactly one
-    segment; anything outside the domain raises DomainError.  These
-    checks run at construction time, so a malformed table (overlap, gap,
-    double-closed junction) cannot be built at all.
-
-    ``ends`` lists the segments' right ends in order (a point segment
-    repeats the end of the open segment before it).  Together with
-    ``domain_lo`` they are every endpoint, so it is the one key list that
-    evaluation and consumers bisect.
+    Three lists describe it: ``breaks``, the strictly increasing
+    breakpoints, whose first and last are the domain ends; ``values``,
+    the function's value at each breakpoint; and ``pieces``, one
+    (slope, intercept) for each open gap between neighbouring
+    breakpoints.  A jump or an isolated spike is a breakpoint value that
+    differs from the pieces beside it, so no closure flags are needed.
+    The three rules are checked at construction time, so a malformed
+    table cannot be built; anything outside the domain raises DomainError.
     """
 
-    __slots__ = ("segments", "ends")
+    __slots__ = ("breaks", "values", "pieces")
 
-    def __init__(self, segments: Sequence[Segment]):
-        segs = sorted(segments, key=lambda s: (s.lo, s.hi))
-        if not segs:
-            raise ValueError("piecewise function needs at least one segment")
-        for prev, cur in zip(segs, segs[1:]):
-            if prev.hi > cur.lo:
-                raise ValueError(f"overlapping segments at [{cur.lo}, {prev.hi}]")
-            if prev.hi < cur.lo:
-                raise ValueError(f"gap between {prev.hi} and {cur.lo}")
-            if prev.hi_closed and cur.lo_closed:
-                raise ValueError(f"point {cur.lo} carried by two segments")
-            if not prev.hi_closed and not cur.lo_closed:
-                raise ValueError(f"point {cur.lo} carried by no segment")
-        self.segments: tuple[Segment, ...] = tuple(segs)
-        self.ends: list[Fraction] = [s.hi for s in segs]
-
-    @property
-    def domain_lo(self) -> Fraction:
-        return self.segments[0].lo
-
-    @property
-    def domain_hi(self) -> Fraction:
-        return self.segments[-1].hi
-
-    def segment_at(self, x: RationalLike) -> Segment:
-        x = as_rational(x)
-        idx = bisect_left(self.ends, x)
-        for j in (idx, idx + 1):
-            if j < len(self.segments) and self.segments[j].contains(x):
-                return self.segments[j]
-        raise DomainError(f"{x} outside domain [{self.domain_lo}, {self.domain_hi}]")
+    def __init__(self, breaks: Sequence[Fraction], values: Sequence[Fraction],
+                 pieces: Sequence[tuple[Fraction, Fraction]]):
+        if not breaks:
+            raise ValueError("piecewise function needs at least one breakpoint")
+        for lo, hi in zip(breaks, breaks[1:]):
+            if lo >= hi:
+                raise ValueError(f"breakpoints must strictly increase: {lo} then {hi}")
+        if len(values) != len(breaks):
+            raise ValueError(f"{len(values)} values for {len(breaks)} breakpoints")
+        if len(pieces) != len(breaks) - 1:
+            raise ValueError(f"{len(pieces)} pieces for {len(breaks) - 1} gaps")
+        self.breaks: list[Fraction] = list(breaks)
+        self.values: list[Fraction] = list(values)
+        self.pieces: list[tuple[Fraction, Fraction]] = list(pieces)
 
     def __call__(self, x: RationalLike) -> Fraction:
-        return self.segment_at(x).value(x)
+        x = as_rational(x)
+        breaks = self.breaks
+        i = bisect_left(breaks, x)
+        if i < len(breaks) and breaks[i] == x:
+            return self.values[i]
+        if i == 0 or i == len(breaks):
+            raise DomainError(f"{x} outside domain [{breaks[0]}, {breaks[-1]}]")
+        slope, intercept = self.pieces[i - 1]
+        return slope * x + intercept
 
 
 def pw_max(f: PiecewiseFn, g: PiecewiseFn) -> PiecewiseFn:
     """Pointwise maximum of two piecewise functions on the same domain.
 
-    Crossing points inside a shared open interval are solved exactly and
-    become breakpoints of the result; no epsilon merging is performed.
+    The breakpoints are both operands' merged, and each value is the
+    larger of the two there.  A crossing inside a shared open gap is
+    solved exactly and becomes a breakpoint of the result; no epsilon
+    merging is performed.  On a gap where the operands tie, f's piece
+    is kept.
     """
-    if (f.domain_lo, f.domain_hi) != (g.domain_lo, g.domain_hi):
+    if (f.breaks[0], f.breaks[-1]) != (g.breaks[0], g.breaks[-1]):
         raise ValueError("pw_max requires identical domains")
-    cuts = sorted({f.domain_lo, *f.ends, *g.ends})
-    segs: list[Segment] = []
-    # one index per operand, advanced through its segments as the cuts rise
-    at = [0, 0]
-
-    def seg_past(j: int, x: Fraction, on_x: bool) -> Segment | None:
-        # the first segment of operand j carrying x (on_x) or the open gap right of x
-        ops = (f, g)[j].segments
-        i = at[j]
-        while i < len(ops) and (ops[i].hi < x or ops[i].hi == x
-                                and not (on_x and ops[i].hi_closed)):
+    cuts = sorted({*f.breaks, *g.breaks})
+    breaks: list[Fraction] = []
+    values: list[Fraction] = []
+    pieces: list[tuple[Fraction, Fraction]] = []
+    # one index per operand: the first of its breakpoints not yet passed
+    i = j = 0
+    for u, v in zip(cuts, cuts[1:] + [None]):
+        if f.breaks[i] == u:
+            y1 = f.values[i]
             i += 1
-        at[j] = i
-        return ops[i] if i < len(ops) else None
-
-    def point(x: Fraction) -> None:
-        # domain ends may be open in one operand; the max is then undefined there
-        s1, s2 = seg_past(0, x, True), seg_past(1, x, True)
-        if s1 is None or s2 is None or not (s1.contains(x) and s2.contains(x)):
-            return
-        segs.append(Segment(x, x, True, True, Fraction(0), max(s1.value(x), s2.value(x))))
-
-    def interval(u: Fraction, v: Fraction) -> None:
-        mid = (u + v) / 2
-        s1, s2 = seg_past(0, u, False), seg_past(1, u, False)
-        a1, b1 = s1.slope, s1.intercept
-        a2, b2 = s2.slope, s2.intercept
+        else:
+            y1 = f.pieces[i - 1][0] * u + f.pieces[i - 1][1]
+        if g.breaks[j] == u:
+            y2 = g.values[j]
+            j += 1
+        else:
+            y2 = g.pieces[j - 1][0] * u + g.pieces[j - 1][1]
+        breaks.append(u)
+        values.append(max(y1, y2))
+        if v is None:
+            break
+        # the pieces of both operands on the open gap (u, v)
+        (a1, b1), (a2, b2) = f.pieces[i - 1], g.pieces[j - 1]
         x_cross = (b2 - b1) / (a1 - a2) if a1 != a2 else None
         if x_cross is None or not u < x_cross < v:
             # one side wins the whole gap (with equal slopes: b1 >= b2)
-            a, b = (a1, b1) if a1 * mid + b1 >= a2 * mid + b2 else (a2, b2)
-            segs.append(Segment(u, v, False, False, a, b))
-            return
-        left_mid = (u + x_cross) / 2
-        if a1 * left_mid + b1 >= a2 * left_mid + b2:
-            lo_affine, hi_affine = (a1, b1), (a2, b2)
-        else:
-            lo_affine, hi_affine = (a2, b2), (a1, b1)
-        segs.append(Segment(u, x_cross, False, False, *lo_affine))
-        segs.append(Segment(x_cross, x_cross, True, True, Fraction(0), a1 * x_cross + b1))
-        segs.append(Segment(x_cross, v, False, False, *hi_affine))
-
-    point(cuts[0])
-    for u, v in zip(cuts, cuts[1:]):
-        interval(u, v)
-        point(v)
-    return PiecewiseFn(segs)
+            mid = (u + v) / 2
+            pieces.append((a1, b1) if a1 * mid + b1 >= a2 * mid + b2 else (a2, b2))
+            continue
+        # the flatter piece is the larger left of the crossing
+        lo, hi = ((a1, b1), (a2, b2)) if a1 < a2 else ((a2, b2), (a1, b1))
+        pieces.append(lo)
+        breaks.append(x_cross)
+        values.append(a1 * x_cross + b1)
+        pieces.append(hi)
+    return PiecewiseFn(breaks, values, pieces)

@@ -7,9 +7,10 @@ Two piecewise-affine upper envelopes are tabulated per genus:
 - the sawtooth-with-spikes top f_g, under which some rank along the same
   ray works.
 
-Both are exact piecewise functions over Q with explicit endpoint
-closures; membership tests also report the stable-case exclusions, which
-remove isolated points or segments from the semistable statement.
+Both are exact piecewise functions over Q, given by their breakpoints,
+their values there and one affine piece per open gap; membership tests
+also report the stable-case exclusions, which remove isolated points or
+segments from the semistable statement.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from functools import lru_cache
 from typing import Callable, Optional, Union
 
 from .bncore import beta_untwisted, serre_dual_point, slope_point
-from .exactq import PiecewiseFn, Rational, RationalLike, Segment, as_rational, rat_ceil
+from .exactq import PiecewiseFn, Rational, RationalLike, as_rational, rat_ceil
 
 EXCLUSION_T_GAP = "t-gap-family"
 EXCLUSION_T_PETRI_LINE = "t-petri-line-family"
@@ -75,6 +76,13 @@ def eta_hat(g: int, s: int) -> int:
     return s + g - 1 - g // s
 
 
+def _from_steps(x0: Fraction, y0: Fraction, steps: list[tuple]) -> tuple[list, list, list]:
+    # breakpoints, values and pieces from (x0, y0) and the steps rightward
+    # from it, each (piece on the gap, breakpoint ending it, value there)
+    pieces, breaks, values = zip(*steps)
+    return [x0, *breaks], [y0, *values], list(pieces)
+
+
 @lru_cache(maxsize=None)
 def tg_piecewise(g: int) -> PiecewiseFn:
     """The staircase top on [0, 2g-2].
@@ -85,43 +93,39 @@ def tg_piecewise(g: int) -> PiecewiseFn:
     """
     if g < 2:
         raise ValueError(f"genus must be >= 2, got {g}")
-    segs = [Segment(Fraction(0), Fraction(0), True, True, Fraction(0), Fraction(0))]
+    one, zero = Fraction(1), Fraction(0)
+    steps = []
     for s in range(1, g):
         a = eta_hat_prime(g, s)
         b = eta_hat_prime(g, s + 1)
-        segs.append(Segment(Fraction(a), Fraction(a + 1), False, True,
-                            Fraction(1), Fraction(s - a - 1)))
+        level = Fraction(s)
+        steps.append(((one, Fraction(s - a - 1)), Fraction(a + 1), level))
         if a + 1 < b:
-            segs.append(Segment(Fraction(a + 1), Fraction(b), False, True,
-                                Fraction(0), Fraction(s)))
-    return PiecewiseFn(segs)
+            steps.append(((zero, level), Fraction(b), level))
+    return PiecewiseFn(*_from_steps(zero, zero, steps))
 
 
-def _fg_base_segments(g: int) -> list[Segment]:
-    # base tabulation on [0, g-1]; spikes sit at eta(s) for s*s <= g
+def _fg_base_steps(g: int) -> list[tuple]:
+    # steps on [0, g-1], from the spike (0, 1); spikes sit at eta(s) for s*s <= g
     top = g - 1
-    segs: list[Segment] = []
-    s_max = math.isqrt(g)
-    for s in range(1, s_max + 1):
+    steps = []
+    for s in range(1, math.isqrt(g) + 1):
         e = eta_hat(g, s)
         e_next = eta_hat(g, s + 1)
-        segs.append(Segment(Fraction(e), Fraction(e), True, True, Fraction(0), Fraction(s)))
         if e >= top:
             break
-        # ramp through (e+1, s) with the shallow slope s/g
-        hi1 = min(e + 1, top)
-        segs.append(Segment(Fraction(e), Fraction(hi1), False, True,
-                            Fraction(s, g), Fraction(s) - Fraction(s, g) * (e + 1)))
+        level, slope = Fraction(s), Fraction(s, g)
+        # ramp up to (e+1, s) with the shallow slope s/g
+        steps.append(((slope, level - slope * (e + 1)), Fraction(e + 1), level))
         # unit sawtooth pieces, same slope, restarting at each integer
-        for m in range(e + 1, min(e_next - 1, top) - 1 + 1):
-            segs.append(Segment(Fraction(m), Fraction(m + 1), False, True,
-                                Fraction(s, g), Fraction(s) - Fraction(s, g) * m))
-        # steeper connector rising toward the next spike, open at both ends
+        tooth = level + slope
+        steps += [((slope, level - slope * m), Fraction(m + 1), tooth)
+                  for m in range(e + 1, min(e_next - 1, top))]
+        # steeper connector rising into the spike of level s+1 at eta(s+1)
         if e_next <= top:
-            slope = Fraction(e_next - s, g)
-            segs.append(Segment(Fraction(e_next - 1), Fraction(e_next), False, False,
-                                slope, Fraction(s) - slope * (e_next - 1)))
-    return segs
+            rise = Fraction(e_next - s, g)
+            steps.append(((rise, level - rise * (e_next - 1)), Fraction(e_next), level + 1))
+    return steps
 
 
 @lru_cache(maxsize=None)
@@ -129,24 +133,19 @@ def fg_piecewise(g: int) -> PiecewiseFn:
     """The sawtooth-with-spikes top on [0, 2g-2].
 
     Built on [0, g-1] from the band construction, then extended to
-    (g-1, 2g-2] by the reflection f(mu) = f(2g-2-mu) + mu - (g-1).
+    (g-1, 2g-2] by the reflection f(mu) = f(2g-2-mu) + mu - (g-1): the
+    mirror's lists are the base's, reversed.
     """
     if g < 2:
         raise ValueError(f"genus must be >= 2, got {g}")
-    base = _fg_base_segments(g)
-    two = Fraction(2 * (g - 1))
-    mirrored: list[Segment] = []
-    for seg in base:
-        lo, hi = two - seg.hi, two - seg.lo
-        if lo == hi == Fraction(g - 1):
-            continue
-        lo_closed, hi_closed = seg.hi_closed, seg.lo_closed
-        if lo == Fraction(g - 1):
-            lo_closed = False
-        slope = 1 - seg.slope
-        intercept = seg.slope * two + seg.intercept - (g - 1)
-        mirrored.append(Segment(lo, hi, lo_closed, hi_closed, slope, intercept))
-    return PiecewiseFn(base + mirrored)
+    breaks, values, pieces = _from_steps(Fraction(0), Fraction(1), _fg_base_steps(g))
+    top, two = g - 1, 2 * (g - 1)
+    # the base ends at g-1, the mirror's fixed point
+    inner = range(len(breaks) - 2, -1, -1)
+    return PiecewiseFn(
+        breaks + [two - breaks[i] for i in inner],
+        values + [values[i] + top - breaks[i] for i in inner],
+        pieces + [(1 - a, a * two + b - top) for a, b in reversed(pieces)])
 
 
 def tg_eval(g: int, mu: RationalLike) -> Fraction:
@@ -246,14 +245,17 @@ def _piecewise_polyline(fn: PiecewiseFn, samples_per_unit: int) -> list[RegionPo
             pts.append((x, y))
 
     step = Fraction(1, samples_per_unit)
-    for seg in fn.segments:
-        push(seg.lo, seg.value(seg.lo))
-        x = seg.lo + step
-        while x < seg.hi:
-            push(x, seg.value(x))
+    breaks = fn.breaks
+    for i, (slope, intercept) in enumerate(fn.pieces):
+        # the breakpoint's own value, then the gap's piece from end to end
+        lo, hi = breaks[i], breaks[i + 1]
+        push(lo, fn.values[i])
+        x = lo
+        while x < hi:
+            push(x, slope * x + intercept)
             x += step
-        if seg.hi > seg.lo:
-            push(seg.hi, seg.value(seg.hi))
+        push(hi, slope * hi + intercept)
+    push(breaks[-1], fn.values[-1])
     return pts
 
 

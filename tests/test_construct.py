@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
@@ -293,7 +294,7 @@ def test_bpn_new_points_examples():
 
 # reference: the full-breakpoint scan that bpn_boundary replaced, kept
 # as an oracle with its own quadratic maximiser; it reads every envelope
-# breakpoint per slope, from the segments rather than the key list
+# breakpoint per slope and walks them in Fractions
 
 
 @dataclass(frozen=True)
@@ -306,8 +307,8 @@ class _DirectBest:
 
 
 def _affine_on(fn: PiecewiseFn, lo: Rational, hi: Rational) -> tuple[Rational, Rational]:
-    seg = fn.segment_at((lo + hi) / 2)
-    return seg.slope, seg.intercept
+    # the piece of the open gap holding (lo, hi)
+    return fn.pieces[bisect_right(fn.breaks, (lo + hi) / 2) - 1]
 
 
 def _affine_product(a1: Rational, b1: Rational, a2: Rational, b2: Rational) -> Quadratic:
@@ -361,7 +362,7 @@ def _ref_bpn_direct(g: int, mu: Rational) -> Optional[_DirectBest]:
         return None
     env = _ref_envelope(g)
     pts = {Q(0), w_hi}
-    for b in {x for seg in env.segments for x in (seg.lo, seg.hi)}:
+    for b in env.breaks:
         if 0 < b < w_hi:
             pts.add(b)
         rb = mu - b
@@ -461,9 +462,8 @@ def test_bpn_matches_full_scan_at_window_edges(g):
     # 2g - 2, and a step 1/q to either side of every envelope breakpoint
     top = 2 * g - 2
     slopes = {Q(1, 10**6), Q(1, 3), Q(5, 7), Q(19, 10), Q(2), Q(top)}
-    ends = {x for seg in _ref_envelope(g).segments for x in (seg.lo, seg.hi)}
     for q in (7, 10**6 + 3):
-        slopes.update(b + s * Q(1, q) for b in ends for s in (-1, 1))
+        slopes.update(b + s * Q(1, q) for b in _ref_envelope(g).breaks for s in (-1, 1))
     _assert_matches_reference(g, sorted(mu for mu in slopes if 0 <= mu <= top))
 
 
@@ -485,11 +485,24 @@ class _WindowOnly(list):
 
 
 def test_warm_bpn_query_reads_no_full_breakpoint_list(monkeypatch):
+    # every list of the table: breakpoints, values, slopes and intercepts
     den, *cols = construct._envelope_table(40)
+    assert len(cols) == 4
     monkeypatch.setattr(construct, "_envelope_table",
                         lambda g: (den, *map(_WindowOnly, cols)))
     for i in range(1, 51):
         assert bpn_boundary(40, Q(31 * i, 20)).boundary > 0
+
+
+def test_tops_and_envelope_list_each_breakpoint_once():
+    for g in (*range(2, 41), 100, 1000):
+        _, breaks, values, slopes, icpts = construct._envelope_table(g)
+        for keys in (tg_piecewise(g).breaks, fg_piecewise(g).breaks,
+                     _ref_envelope(g).breaks, breaks):
+            assert len(set(keys)) == len(keys)
+        assert len(values) == len(slopes) + 1 == len(icpts) + 1 == len(breaks)
+    # 79 breakpoints at g = 40; listing each cut twice would give 157
+    assert len(construct._envelope_table(40)[1]) == 79
 
 
 def test_grid_slopes_walk_the_step_grid():

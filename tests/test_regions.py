@@ -78,8 +78,8 @@ def test_tables_build_for_many_genera():
     for g in range(2, 41):
         t = tg_piecewise(g)
         f = fg_piecewise(g)
-        assert t.domain_lo == f.domain_lo == 0
-        assert t.domain_hi == f.domain_hi == 2 * g - 2
+        assert t.breaks[0] == f.breaks[0] == 0
+        assert t.breaks[-1] == f.breaks[-1] == 2 * g - 2
 
 
 def test_tg_values():
