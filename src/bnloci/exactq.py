@@ -77,8 +77,9 @@ class PiecewiseFn:
     (slope, intercept) for each open gap between neighbouring
     breakpoints.  A jump or an isolated spike is a breakpoint value that
     differs from the pieces beside it, so no closure flags are needed.
-    The three rules are checked at construction time, so a malformed
-    table cannot be built; anything outside the domain raises DomainError.
+    Construction checks that the breakpoints strictly increase and that
+    the three lengths match, so a malformed table cannot be built;
+    anything outside the domain raises DomainError.
     """
 
     __slots__ = ("breaks", "values", "pieces")

@@ -132,7 +132,7 @@ def _random_fn(cuts, data) -> PiecewiseFn:
     values = []
     for i, x in enumerate(cuts):
         near = pieces[min(i, len(pieces) - 1)]
-        values.append(data.draw(st.sampled_from([near[0] * x + near[1]]) | q))
+        values.append(data.draw(st.just(near[0] * x + near[1]) | q))
     return PiecewiseFn(cuts, values, pieces)
 
 
