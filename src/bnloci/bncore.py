@@ -132,6 +132,11 @@ def beta_tensor(g: int, n1: int, d1: int, n2: int, d2: int, k: int) -> int:
     return (n1 * n2) ** 2 * (g - 1) + 1 - k * (k - chi)
 
 
+def kernel_budget(g: int, n1: int, d1: int, k1: int, n: int, d: int) -> int:
+    """Kernel construction's section budget (d - n(g-1))(k1 - n1) - n*d1."""
+    return (d - n * (g - 1)) * (k1 - n1) - n * d1
+
+
 def tensor_problem(g: int, n1: int, d1: int, n2: int, d2: int, k: int) -> BNProblem:
     """The untwisted problem satisfied by tensor products of such pairs.
 

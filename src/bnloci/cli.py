@@ -21,6 +21,7 @@ from typing import Any, Callable, Optional
 from .bncore import (
     BNProblem,
     UniversalProblem,
+    _require_genus,
     beta_tensor,
     beta_twisted,
     beta_universal,
@@ -172,7 +173,7 @@ def _cell(value: Any, name: str) -> str:
 
 
 def _emit(text: str, args: argparse.Namespace) -> None:
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
@@ -558,8 +559,7 @@ MAX_PLOT_SAMPLES = 10_000
 
 def _cmd_plot(args: argparse.Namespace) -> tuple[str, bool]:
     g = args.genus
-    if g < 2:
-        raise ValueError(f"genus must be >= 2, got {g}")
+    _require_genus(g)
     if args.samples_per_unit < 1:
         raise ValueError("samples_per_unit must be >= 1")
     count = 2 * (g - 1) * args.samples_per_unit
@@ -604,6 +604,14 @@ def _cmd_selftest(args: argparse.Namespace) -> tuple[str, bool]:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="write output to a file instead of stdout")
+    # the problem arguments beta and decide share
+    problem = argparse.ArgumentParser(add_help=False)
+    problem.add_argument("--genus", type=int, required=True)
+    problem.add_argument("--rank", type=int)
+    problem.add_argument("--degree", type=int)
+    problem.add_argument("--sections", type=int, required=True)
+    problem.add_argument("--p1", type=_rank_degree, metavar="N,D")
+    problem.add_argument("--p2", type=_rank_degree, metavar="N,D")
 
     parser = argparse.ArgumentParser(
         prog="bnloci",
@@ -616,24 +624,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--stability", default="stable",
                        choices=[k.value for k in StabilityKind])
 
-    p = sub.add_parser("beta", parents=[common],
+    p = sub.add_parser("beta", parents=[common, problem],
                        help="expected-dimension counts")
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--rank", type=int)
-    p.add_argument("--degree", type=int)
-    p.add_argument("--sections", type=int, required=True)
-    p.add_argument("--p1", type=_rank_degree, metavar="N,D")
-    p.add_argument("--p2", type=_rank_degree, metavar="N,D")
     p.set_defaults(handler=_cmd_beta)
 
-    p = sub.add_parser("decide", parents=[common],
+    p = sub.add_parser("decide", parents=[common, problem],
                        help="certified nonemptiness decision")
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--rank", type=int)
-    p.add_argument("--degree", type=int)
-    p.add_argument("--sections", type=int, required=True)
-    p.add_argument("--p1", type=_rank_degree, metavar="N,D")
-    p.add_argument("--p2", type=_rank_degree, metavar="N,D")
     add_curve_kind(p)
     p.set_defaults(handler=_cmd_decide)
 
@@ -705,7 +701,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 1
+        return 0 if exc.code == 0 else 1
     try:
         text, verified = args.handler(args)
     except (ValueError, RuntimeError) as exc:

@@ -21,6 +21,7 @@ from .bncore import (
     BNProblem,
     beta_tensor,
     beta_universal,
+    kernel_budget,
     tensor_problem,
 )
 from .exactq import (
@@ -418,7 +419,7 @@ def kernel_k_max(g: int, n1: int, d1: int, k1: int, n: int, d: int) -> int:
         raise ConstructError(f"generator rank must be positive, got {n}")
     if d <= n * (g - 1):
         raise ConstructError(f"twist degree {d} must exceed n*(g-1) = {n * (g - 1)}")
-    return (d - n * (g - 1)) * (k1 - n1) - n * d1
+    return kernel_budget(g, n1, d1, k1, n, d)
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,7 @@ from .bncore import (
     beta_universal,
     beta_untwisted,
     chi_pairing,
+    kernel_budget,
     serre_dual_problem,
     shift_line_bundle,
     swap_factors,
@@ -578,7 +579,7 @@ def _kernel_frame(params: dict) -> tuple[list[Premise], tuple[BNProblem, ...]]:
     g = params["g"]
     n1, d1, k1 = params["n1"], params["d1"], params["k1"]
     n, d, k = params["n"], params["d"], params["k"]
-    k_max = (d - n * (g - 1)) * (k1 - n1) - n * d1
+    k_max = kernel_budget(g, n1, d1, k1, n, d)
     prem = [Premise(f"n1 = {n1} >= 2 and k1 = {k1} > n1", n1 >= 2 and k1 > n1),
             *kernel_premises(g, n, d, params["n2"], params["d2"],
                              CurveClass(params["cc"]), StabilityKind(params["kind"]))]
@@ -834,19 +835,12 @@ def _product_candidates(q: UniversalProblem, cc: CurveClass,
     """Product candidates for q in search order, those whose premises
     outside the factor loci hold."""
     mu1 = Fraction(q.d1, q.n1)
-    if q.n1 < 2 or q.n2 < 2:
-        return
-    candidates: list[int] = []
+    # the shifts put mu1 - ell in (0, 2), or at 2 for an integer mu1 on a
+    # curve known to be non-hyperelliptic
     base = rat_ceil(mu1)
-    for ell in (base - 2, base - 1):
-        if 0 < mu1 - ell < 2:
-            candidates.append(ell)
-    if mu1.denominator == 1 and implies_nonhyperelliptic(cc, q.g):
-        ell = int(mu1) - 2
-        if ell not in candidates:
-            candidates.append(ell)
+    lo = base - (2 if mu1.denominator != 1 or implies_nonhyperelliptic(cc, q.g) else 1)
     shifts = []
-    for ell in sorted(candidates):
+    for ell in range(lo, base):
         shifted = shift_line_bundle(q, ell)
         window = first_window(product_windows(q.g, q.n1, shifted.d1, q.n2,
                                                shifted.d2, cc))
@@ -859,22 +853,25 @@ def _product_candidates(q: UniversalProblem, cc: CurveClass,
               "beta_tensor": beta_tensor(q.g, q.n1, q.d1, q.n2, q.d2, q.k)}
     pairs = _divisor_pairs(q.k)
     for ell, shifted, window in shifts:
-        for k1, k2 in pairs:
+        for i, (k1, k2) in enumerate(pairs):
             params = {
                 "g": q.g, "kind": kind.value, "cc": cc.value, "pair": pair,
                 "ell": ell, "k": q.k, "k1": k1, "k2": k2,
                 "d1_shifted": shifted.d1, "d2_shifted": shifted.d2,
                 "window": window, **counts}
-            prem, factors = _product_frame(params)
-            if _holds(prem):
-                yield RULE_PRODUCT, params, factors
+            # divisor pairs exist only for k >= 1 and multiply to k, so the
+            # shift alone decides the frame: it is checked on the first pair
+            if i == 0 and not _holds(_product_frame(params)[0]):
+                break
+            yield RULE_PRODUCT, params, (BNProblem(q.g, q.n1, shifted.d1, k1),
+                                         BNProblem(q.g, q.n2, shifted.d2, k2))
 
 
 def _kernel_candidates(q: UniversalProblem, cc: CurveClass,
                        kind: StabilityKind) -> Iterator[Candidate]:
     """Kernel candidates for q in search order, those whose premises
     outside the base locus hold."""
-    if q.n1 < 2 or q.d2 >= 0:
+    if q.d2 >= 0:
         return
     d = -q.d2
     if (d - q.n2) % q.g != 0:
@@ -883,7 +880,7 @@ def _kernel_candidates(q: UniversalProblem, cc: CurveClass,
     if n < 1:
         return
     denom = d - n * (q.g - 1)
-    if denom <= 0 or not _holds(kernel_premises(q.g, n, d, q.n2, q.d2, cc, kind)):
+    if not _holds(kernel_premises(q.g, n, d, q.n2, q.d2, cc, kind)):
         return
     lo = max(q.n1 + 1, q.n1 + rat_ceil(Fraction(q.k + n * q.d1, denom)))
     hi = q.n1 + max(q.d1, 0)
@@ -892,7 +889,7 @@ def _kernel_candidates(q: UniversalProblem, cc: CurveClass,
         params = {
             "g": q.g, "kind": kind.value, "cc": cc.value,
             "n1": q.n1, "d1": q.d1, "k1": k1, "n": n, "d": d, "k": q.k,
-            "n2": q.n2, "d2": q.d2, "k_max": denom * (k1 - q.n1) - n * q.d1,
+            "n2": q.n2, "d2": q.d2, "k_max": kernel_budget(q.g, q.n1, q.d1, k1, n, d),
             "beta_universal": bu}
         prem, factors = _kernel_frame(params)
         if _holds(prem):
@@ -901,8 +898,6 @@ def _kernel_candidates(q: UniversalProblem, cc: CurveClass,
 
 def _try_scaling(q: UniversalProblem, cc: CurveClass,
                  kind: StabilityKind) -> Optional[Certificate]:
-    if q.n1 < 2:
-        return None
     if kind is StabilityKind.STABLE:
         d0 = (q.d1 - 1) // q.n1
     else:
@@ -963,6 +958,8 @@ def decide_universal(p: UniversalProblem, cc: CurveClass,
             inner += decided[factor]
         return _certify(rule, {**params, "inner": inner})
 
+    # both ranks are at least 2 here, and swap and Serre duality keep them,
+    # so no construction checks a rank again
     for q, ops, chain in _presentations(p):
         built = (constructed(*candidate)
                  for candidates in (_product_candidates, _kernel_candidates)
@@ -979,14 +976,9 @@ def decide_universal(p: UniversalProblem, cc: CurveClass,
 
 
 def _jsonify(value: Any) -> Any:
+    # certificate parameters hold ints, strings, dicts and certificate lists
     if isinstance(value, Certificate):
         return certificate_to_json(value)
-    if isinstance(value, Premise):
-        return {"inequality": value.inequality, "holds": value.holds}
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, Enum):
-        return value.value
     if isinstance(value, dict):
         return {k: _jsonify(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -996,7 +988,8 @@ def _jsonify(value: Any) -> Any:
 
 def certificate_to_json(cert: Certificate) -> dict:
     return {"rule": cert.rule, "params": _jsonify(cert.params),
-            "premises": [_jsonify(p) for p in cert.premises]}
+            "premises": [{"inequality": p.inequality, "holds": p.holds}
+                         for p in cert.premises]}
 
 
 def decision_to_json(decision: Decision) -> dict:

@@ -23,11 +23,10 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Optional, Union
 
-from .bncore import beta_untwisted, serre_dual_point, slope_point
+from .bncore import _require_genus, serre_dual_point, slope_point
 from .exactq import PiecewiseFn, Rational, RationalLike, as_rational, rat_ceil
 
 EXCLUSION_T_GAP = "t-gap-family"
-EXCLUSION_T_PETRI_LINE = "t-petri-line-family"
 EXCLUSION_BMNO_ETA_HAT = "bmno-eta-hat"
 EXCLUSION_BMNO_ETA_HAT_PLUS_ONE = "bmno-eta-hat-plus-one"
 EXCLUSION_SERRE_DUAL = "serre-dual-of-excluded"
@@ -91,8 +90,7 @@ def tg_piecewise(g: int) -> PiecewiseFn:
     of slope one up to the next integer, then flat at level s.  The band
     index runs s = 1..g-1, ending at eta'(g) = 2g-2 with value g-1.
     """
-    if g < 2:
-        raise ValueError(f"genus must be >= 2, got {g}")
+    _require_genus(g)
     one, zero = Fraction(1), Fraction(0)
     steps = []
     for s in range(1, g):
@@ -136,8 +134,7 @@ def fg_piecewise(g: int) -> PiecewiseFn:
     (g-1, 2g-2] by the reflection f(mu) = f(2g-2-mu) + mu - (g-1): the
     mirror's lists are the base's, reversed.
     """
-    if g < 2:
-        raise ValueError(f"genus must be >= 2, got {g}")
+    _require_genus(g)
     breaks, values, pieces = _from_steps(Fraction(0), Fraction(1), _fg_base_steps(g))
     top, two = g - 1, 2 * (g - 1)
     # the base ends at g-1, the mirror's fixed point
@@ -178,11 +175,7 @@ def _t_exclusion(g: int, mu: Fraction, lam: Fraction) -> Optional[str]:
     s = rat_ceil(lam)
     if mu.denominator != 1 or mu != eta_hat_prime(g, s) + 1:
         return None
-    if eta_hat_prime(g, s) + 1 != eta_hat_prime(g, s + 1):
-        return EXCLUSION_T_GAP
-    if beta_untwisted(g, 1, int(mu) + 1, s + 1) <= 0:
-        return EXCLUSION_T_PETRI_LINE
-    return None
+    return EXCLUSION_T_GAP if mu != eta_hat_prime(g, s + 1) else None
 
 
 def membership_T(g: int, mu: RationalLike, lam: RationalLike,
@@ -191,10 +184,9 @@ def membership_T(g: int, mu: RationalLike, lam: RationalLike,
 
     Inside means 0 <= mu <= 2g-2 and 0 < lam <= t_g(mu).  For the stable
     locus, points on the integer column mu = eta'(s)+1 with s-1 < lam <= s
-    are excluded when the band has no flat part there, or when the
-    rank-one count on the line through the column is nonpositive.  The
-    two conditions are recorded separately; the union is applied because
-    they are stated as restatements but are not literally identical.
+    are excluded when that column is not the band's right end eta'(s+1).
+    On the right end the rank-one count beta(1, mu+1, s+1) is at least 1
+    by the definition of eta', so no count condition removes a point there.
     """
     return _membership(g, mu, lam, kind, tg_eval, _t_exclusion)
 

@@ -542,3 +542,29 @@ def test_argparse_failures_exit_one(capsys):
     assert cli.main(["bpn", "--genus", "10", "--mu", "x/y", "--boundary"]) == 1
     assert cli.main(["--help"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["decide", "--genus", "4", "--p1", "2", "--p2", "2,3", "--sections", "2"],
+     "bnloci decide: error: argument --p1: expected rank,degree, got '2'"),
+    (["decide", "--genus", "4", "--p1", "2,x", "--p2", "2,3", "--sections", "2"],
+     "bnloci decide: error: argument --p1: expected rank,degree, got '2,x'"),
+    (["product", "--genus", "4", "--negativity", "--mu1", "1", "--lam1", "1", "--mu2", "1"],
+     "error: negativity search needs --mu1 --lam1 --mu2 --lam2"),
+    (["kernel", "--genus", "4", "--base", "2,11,6", "--sections", "3"],
+     "error: kernel construction needs --twist and --sections "
+     "(or --negativity with --family-e)"),
+    (["kernel", "--genus", "4", "--base", "2,11,6", "--twist", "11"],
+     "error: kernel construction needs --twist and --sections "
+     "(or --negativity with --family-e)"),
+    (["enumerate", "--genus", "1"],
+     "error: enumerate needs --rank and --sections "
+     "(or --rank-range with --section-offset)"),
+    (["enumerate", "--genus", "1", "--rank", "2", "--sections", "3"],
+     "error: genus must be at least 2, got 1"),
+])
+def test_incomplete_or_malformed_input_exits_one_with_its_message(capsys, argv, message):
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == message

@@ -463,6 +463,45 @@ def test_universal_search_keeps_no_state_between_calls(monkeypatch):
     assert _dumped(first) == _dumped(second)
 
 
+def _count_frames(monkeypatch, name: str) -> list:
+    """Record (ell or k1, holds) for each call of the oracle frame `name`."""
+    calls = []
+    frame = getattr(oracle, name)
+
+    def counting(params):
+        prem, factors = frame(params)
+        calls.append((params.get("ell", params.get("k1")), all(p.holds for p in prem)))
+        return prem, factors
+
+    monkeypatch.setattr(oracle, name, counting)
+    return calls
+
+
+def test_product_frame_runs_once_per_shift(monkeypatch):
+    # the shift ell = 0 leaves d2' = -1 and fails the frame; ell = 1 holds,
+    # and all six divisor pairs of 12 become candidates from one frame check
+    calls = _count_frames(monkeypatch, "_product_frame")
+    q = UniversalProblem(6, 2, 3, 2, -1, 12)
+    candidates = list(oracle._product_candidates(q, ANY, STABLE))
+    assert calls == [(0, False), (1, True)]
+    assert [(params["ell"], params["k1"]) for _, params, _ in candidates] == \
+        [(1, 3), (1, 4), (1, 2), (1, 6), (1, 1), (1, 12)]
+    monkeypatch.undo()
+    for rule, params, factors in candidates:
+        prem, expected = oracle._product_frame(params)
+        assert rule == RULE_PRODUCT and all(p.holds for p in prem)
+        assert factors == expected
+
+
+def test_kernel_candidates_drop_a_failed_frame(monkeypatch):
+    # the shape passes the kernel premises, but k = -3 fails 0 < k <= k_max
+    # for each base section count k1 = 3..6
+    calls = _count_frames(monkeypatch, "_kernel_frame")
+    q = UniversalProblem(4, 2, 4, 4, -8, -3)
+    assert list(oracle._kernel_candidates(q, PETRI, STABLE)) == []
+    assert calls == [(3, False), (4, False), (5, False), (6, False)]
+
+
 def test_universal_search_matches_memo_free_search_on_seeded_set():
     rng = random.Random(20)
     for _ in range(300):
