@@ -197,4 +197,4 @@ def clifford_excess(g: int, pt: SlopePoint) -> Fraction:
 
 def slope_point(mu: Rational, lam: Rational) -> SlopePoint:
     """Convenience constructor accepting ints, Fractions or 'p/q' strings."""
-    return SlopePoint(as_rational(mu), as_rational(lam))
+    return SlopePoint(mu, lam)

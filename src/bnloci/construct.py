@@ -474,7 +474,7 @@ def kernel_construct(g: int, n1: int, d1: int, k1: int, n: int, d: int, k: int,
     base = oracle.decide_untwisted(BNProblem(g, n1, d1, k1), cc, kind)
     if base.status is not Status.NONEMPTY or base.scope is not Scope.THIS_RANK:
         raise ConstructError("base locus is not certified nonempty at its rank")
-    budget = kernel_k_max(g, n1, d1, k1, n, d)
+    budget = kernel_budget(g, n1, d1, k1, n, d)
     if k <= 0:
         raise ConstructError(f"section count must be positive, got {k}")
     if k > budget:

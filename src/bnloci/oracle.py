@@ -788,40 +788,35 @@ def _divisor_pairs(k: int) -> list[tuple[int, int]]:
 MAX_PRESENTATIONS = 8
 
 
-def _presentations(p: UniversalProblem
-                   ) -> list[tuple[UniversalProblem, list[str], list[UniversalProblem]]]:
+def _presentations(p: UniversalProblem) -> list[tuple[UniversalProblem, list[tuple]]]:
     """Breadth-first presentations of p under factor swap and Serre duality.
 
-    Each entry is (problem, ops, chain) where ops lists the generators
-    applied in order and chain holds the intermediate problems from p.
-    The two generators compose to a line-bundle shift, so the raw orbit
-    is infinite; MAX_PRESENTATIONS keeps one lap of it, which already
-    contains every presentation that differs by more than a shift.
+    Each entry is (problem, steps), where steps leads from the problem back
+    to p, innermost first: (rule, parameter name, source, target) wraps a
+    certificate about target into one about source.  The two generators
+    compose to a line-bundle shift, so the raw orbit is infinite;
+    MAX_PRESENTATIONS keeps one lap of it, which already contains every
+    presentation that differs by more than a shift.
     """
     seen = {p}
-    queue = [(p, [], [p])]
+    queue = [(p, [])]
     out = []
     while queue and len(out) < MAX_PRESENTATIONS:
-        cur, ops, chain = queue.pop(0)
-        out.append((cur, ops, chain))
-        for name, fn in (("swap", swap_factors), ("serre", universal_serre_dual)):
+        cur, steps = queue.pop(0)
+        out.append((cur, steps))
+        for rule, fn in ((RULE_SWAPPED_OF, swap_factors),
+                         (RULE_SERRE_DUAL_OF, universal_serre_dual)):
             nxt = fn(cur)
             if nxt not in seen:
                 seen.add(nxt)
-                queue.append((nxt, ops + [name], chain + [nxt]))
+                queue.append((nxt, [(rule, _WRAPPED[rule], cur, nxt), *steps]))
     return out
 
 
-def _wrap_chain(cert: Certificate, ops: list[str],
-                chain: list[UniversalProblem]) -> Certificate:
-    for i in range(len(ops) - 1, -1, -1):
-        src, dst = _universal_params(chain[i]), _universal_params(chain[i + 1])
-        if ops[i] == "serre":
-            cert = _certify(RULE_SERRE_DUAL_OF,
-                            {"problem": src, "dual": dst, "inner": [cert]})
-        else:
-            cert = _certify(RULE_SWAPPED_OF,
-                            {"problem": src, "swapped": dst, "inner": [cert]})
+def _wrap_chain(cert: Certificate, steps: list[tuple]) -> Certificate:
+    for rule, name, src, dst in steps:
+        cert = _certify(rule, {"problem": _universal_params(src),
+                               name: _universal_params(dst), "inner": [cert]})
     return cert
 
 
@@ -877,8 +872,6 @@ def _kernel_candidates(q: UniversalProblem, cc: CurveClass,
     if (d - q.n2) % q.g != 0:
         return
     n = (d - q.n2) // q.g
-    if n < 1:
-        return
     denom = d - n * (q.g - 1)
     if not _holds(kernel_premises(q.g, n, d, q.n2, q.d2, cc, kind)):
         return
@@ -891,9 +884,11 @@ def _kernel_candidates(q: UniversalProblem, cc: CurveClass,
             "n1": q.n1, "d1": q.d1, "k1": k1, "n": n, "d": d, "k": q.k,
             "n2": q.n2, "d2": q.d2, "k_max": kernel_budget(q.g, q.n1, q.d1, k1, n, d),
             "beta_universal": bu}
-        prem, factors = _kernel_frame(params)
-        if _holds(prem):
-            yield RULE_KERNEL, params, factors
+        # past the kernel premises only 0 < k can fail for k1 >= lo, as
+        # k_max grows with k1: the first base count decides the frame
+        if k1 == lo and not _holds(_kernel_frame(params)[0]):
+            return
+        yield RULE_KERNEL, params, (BNProblem(q.g, q.n1, q.d1, k1),)
 
 
 def _try_scaling(q: UniversalProblem, cc: CurveClass,
@@ -906,9 +901,9 @@ def _try_scaling(q: UniversalProblem, cc: CurveClass,
     lo = max(1, rat_ceil(Fraction(q.k, q.n1)))
     for k0 in _bounded(range(lo, chi0 + q.g), "scaling seed section counts"):
         if beta_twisted(q.g, 1, d0, k0, q.n2, q.d2) >= 1:
+            # every other premise is the same for all k0 >= lo: this seed decides
             dec = t1_twisted_decide(q.g, q.n1, q.d1, q.k, q.n2, q.d2, d0, k0, kind)
-            if dec.status is Status.NONEMPTY:
-                return dec.certificates[0]
+            return dec.certificates[0] if dec.status is Status.NONEMPTY else None
     return None
 
 
@@ -960,13 +955,13 @@ def decide_universal(p: UniversalProblem, cc: CurveClass,
 
     # both ranks are at least 2 here, and swap and Serre duality keep them,
     # so no construction checks a rank again
-    for q, ops, chain in _presentations(p):
+    for q, steps in _presentations(p):
         built = (constructed(*candidate)
                  for candidates in (_product_candidates, _kernel_candidates)
                  for candidate in candidates(q, cc, kind))
         cert = next(filter(None, built), None) or _try_scaling(q, cc, kind)
         if cert is not None:
-            wrapped = _wrap_chain(cert, ops, chain)
+            wrapped = _wrap_chain(cert, steps)
             return Decision(Status.NONEMPTY, Scope.THIS_RANK, beta, (wrapped,))
     return Decision(Status.UNKNOWN, Scope.THIS_RANK, beta, ())
 

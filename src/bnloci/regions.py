@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Optional, Union
 
-from .bncore import _require_genus, serre_dual_point, slope_point
+from .bncore import _require_genus
 from .exactq import PiecewiseFn, Rational, RationalLike, as_rational, rat_ceil
 
 EXCLUSION_T_GAP = "t-gap-family"
@@ -194,7 +194,7 @@ def membership_T(g: int, mu: RationalLike, lam: RationalLike,
 def _bmno_spike_excluded(g: int, mu: Fraction, lam: Fraction) -> bool:
     # the spike column mu = eta(s) <= g-1 loses its top above the incoming
     # ramp level; eta strictly increases in s, so its s is found by bisection
-    if mu.denominator != 1 or mu < 0 or mu > g - 1:
+    if mu.denominator != 1 or mu > g - 1:
         return False
     s_max = math.isqrt(g)
     s = 1 + bisect_left(range(1, s_max + 1), mu, key=lambda i: eta_hat(g, i))
@@ -206,10 +206,10 @@ def _bmno_spike_excluded(g: int, mu: Fraction, lam: Fraction) -> bool:
 def _bmno_exclusion(g: int, mu: Fraction, lam: Fraction) -> Optional[str]:
     if _bmno_spike_excluded(g, mu, lam):
         return EXCLUSION_BMNO_ETA_HAT
-    dual = serre_dual_point(g, slope_point(mu, lam))
-    if _bmno_spike_excluded(g, dual.mu, dual.lam):
+    # the Serre reflection of the point, still in 0 <= mu <= 2g-2
+    if _bmno_spike_excluded(g, 2 * (g - 1) - mu, lam - mu + (g - 1)):
         return EXCLUSION_SERRE_DUAL
-    if lam.denominator == 1 and lam >= 1 and mu == eta_hat(g, int(lam)) + 1:
+    if lam.denominator == 1 and mu == eta_hat(g, int(lam)) + 1:
         return EXCLUSION_BMNO_ETA_HAT_PLUS_ONE
     return None
 

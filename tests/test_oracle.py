@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import random
@@ -23,11 +24,14 @@ from bnloci.bncore import (
     beta_twisted,
     beta_universal,
     beta_untwisted,
+    chi_pairing,
     clifford_excess,
     serre_dual_problem,
     shift_line_bundle,
     slope_point,
+    swap_factors,
     tensor_problem,
+    universal_serre_dual,
 )
 from bnloci.exactq import rat_ceil
 from bnloci.oracle import (
@@ -35,6 +39,8 @@ from bnloci.oracle import (
     RULE_KERNEL,
     RULE_LINE_REDUCTION,
     RULE_PRODUCT,
+    RULE_SERRE_DUAL_OF,
+    RULE_SWAPPED_OF,
     RULE_TRIVIAL,
     Certificate,
     CurveClass,
@@ -55,11 +61,8 @@ from bnloci.oracle import (
 from bnloci.oracle import (  # the search internals the reference below reuses
     _certify,
     _divisor_pairs,
-    _presentations,
     _problem_params,
-    _try_scaling,
     _universal_params,
-    _wrap_chain,
 )
 from bnloci.regions import StabilityKind, fg_eval
 from bnloci.selftest import Checks
@@ -312,8 +315,12 @@ def test_universal_trivial_and_unknown():
 
 
 # reference: the universal search before it kept its factor decisions,
-# kept as an oracle; every product and kernel candidate decides its
-# factors afresh and hands their certificates to the judge
+# kept as an oracle; every product and kernel candidate whose slope window
+# and section counts fit decides its factors afresh and hands their
+# certificates to the judge (the judge refuses the others, so skipping
+# them changes only the reference's speed), every viable scaling seed is
+# tried, and the presentation walk and the wrapping are copies of their
+# own, so a change to the search code cannot reach them
 
 
 def _ref_inner(factors: list[BNProblem], cc: CurveClass,
@@ -347,6 +354,10 @@ def _ref_try_product(q: UniversalProblem, cc: CurveClass,
     for ell in sorted(candidates):
         shifted = shift_line_bundle(q, ell)
         standard = shifted.d1 < 2 * q.n1 and shifted.d2 <= 2 * q.g * q.n2
+        relaxed = (shifted.d1 <= 2 * q.n1 and shifted.d2 < 2 * q.g * q.n2
+                   and implies_nonhyperelliptic(cc, q.g))
+        if shifted.d2 < 1 or not (standard or relaxed):
+            continue
         for k1, k2 in _divisor_pairs(q.k):
             inner = _ref_inner([BNProblem(q.g, q.n1, shifted.d1, k1),
                                 BNProblem(q.g, q.n2, shifted.d2, k2)], cc, kind)
@@ -379,17 +390,72 @@ def _ref_try_kernel(q: UniversalProblem, cc: CurveClass,
     lo = max(q.n1 + 1, q.n1 + rat_ceil(Q(q.k + n * q.d1, denom)))
     hi = q.n1 + max(q.d1, 0)
     bu = beta_universal(q.g, q.n1, q.d1, q.n2, q.d2, q.k)
+    if kind is StabilityKind.STABLE:
+        window = d > 2 * n * q.g or (d == 2 * n * q.g and implies_nonhyperelliptic(cc, q.g))
+    else:
+        window = d >= 2 * n * q.g
+    if not window:
+        return None
     for k1 in range(lo, hi + 1):
+        k_max = denom * (k1 - q.n1) - n * q.d1
+        if not 0 < q.k <= k_max:
+            continue
         inner = _ref_inner([BNProblem(q.g, q.n1, q.d1, k1)], cc, kind)
         if inner is None:
             continue
         cert = _certify(RULE_KERNEL, {
             "g": q.g, "kind": kind.value, "cc": cc.value,
             "n1": q.n1, "d1": q.d1, "k1": k1, "n": n, "d": d, "k": q.k,
-            "n2": q.n2, "d2": q.d2, "k_max": denom * (k1 - q.n1) - n * q.d1,
+            "n2": q.n2, "d2": q.d2, "k_max": k_max,
             "beta_universal": bu, "inner": inner})
         if cert is not None:
             return cert
+    return None
+
+
+def _ref_presentations(p: UniversalProblem
+                       ) -> list[tuple[UniversalProblem, list[str], list[UniversalProblem]]]:
+    seen = {p}
+    queue = [(p, [], [p])]
+    out = []
+    while queue and len(out) < oracle.MAX_PRESENTATIONS:
+        cur, ops, chain = queue.pop(0)
+        out.append((cur, ops, chain))
+        for name, fn in (("swap", swap_factors), ("serre", universal_serre_dual)):
+            nxt = fn(cur)
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append((nxt, ops + [name], chain + [nxt]))
+    return out
+
+
+def _ref_wrap_chain(cert: Certificate, ops: list[str],
+                    chain: list[UniversalProblem]) -> Certificate:
+    for i in range(len(ops) - 1, -1, -1):
+        src, dst = _universal_params(chain[i]), _universal_params(chain[i + 1])
+        if ops[i] == "serre":
+            cert = _certify(RULE_SERRE_DUAL_OF,
+                            {"problem": src, "dual": dst, "inner": [cert]})
+        else:
+            cert = _certify(RULE_SWAPPED_OF,
+                            {"problem": src, "swapped": dst, "inner": [cert]})
+    return cert
+
+
+def _ref_try_scaling(q: UniversalProblem, cc: CurveClass,
+                     kind: StabilityKind) -> Optional[Certificate]:
+    # every seed count with a viable rank-one count is tried
+    if kind is StabilityKind.STABLE:
+        d0 = (q.d1 - 1) // q.n1
+    else:
+        d0 = q.d1 // q.n1
+    chi0 = chi_pairing(q.g, 1, d0, q.n2, q.d2)
+    lo = max(1, rat_ceil(Q(q.k, q.n1)))
+    for k0 in range(lo, chi0 + q.g):
+        if beta_twisted(q.g, 1, d0, k0, q.n2, q.d2) >= 1:
+            dec = t1_twisted_decide(q.g, q.n1, q.d1, q.k, q.n2, q.d2, d0, k0, kind)
+            if dec.status is Status.NONEMPTY:
+                return dec.certificates[0]
     return None
 
 
@@ -411,11 +477,11 @@ def _ref_decide_universal(p: UniversalProblem, cc: CurveClass,
             "reduced": _problem_params(reduced),
             "inner": list(inner.certificates)})
         return Decision(inner.status, inner.scope, beta, (cert,))
-    for q, ops, chain in _presentations(p):
-        for attempt in (_ref_try_product, _ref_try_kernel, _try_scaling):
+    for q, ops, chain in _ref_presentations(p):
+        for attempt in (_ref_try_product, _ref_try_kernel, _ref_try_scaling):
             cert = attempt(q, cc, kind)
             if cert is not None:
-                wrapped = _wrap_chain(cert, ops, chain)
+                wrapped = _ref_wrap_chain(cert, ops, chain)
                 return Decision(Status.NONEMPTY, Scope.THIS_RANK, beta, (wrapped,))
     return Decision(Status.UNKNOWN, Scope.THIS_RANK, beta, ())
 
@@ -495,11 +561,49 @@ def test_product_frame_runs_once_per_shift(monkeypatch):
 
 def test_kernel_candidates_drop_a_failed_frame(monkeypatch):
     # the shape passes the kernel premises, but k = -3 fails 0 < k <= k_max
-    # for each base section count k1 = 3..6
+    # for every base section count k1 = 3..6, which the first one shows
     calls = _count_frames(monkeypatch, "_kernel_frame")
     q = UniversalProblem(4, 2, 4, 4, -8, -3)
     assert list(oracle._kernel_candidates(q, PETRI, STABLE)) == []
-    assert calls == [(3, False), (4, False), (5, False), (6, False)]
+    assert calls == [(3, False)]
+
+
+def test_kernel_frame_runs_once_per_presentation(monkeypatch):
+    # k = 3 fits under k_max(k1) from lo = 4 on, so the base section counts
+    # 4..6 all become candidates from one frame check
+    calls = _count_frames(monkeypatch, "_kernel_frame")
+    q = UniversalProblem(4, 2, 4, 4, -8, 3)
+    candidates = list(oracle._kernel_candidates(q, PETRI, STABLE))
+    assert calls == [(4, True)]
+    assert [params["k1"] for _, params, _ in candidates] == [4, 5, 6]
+    monkeypatch.undo()
+    for rule, params, factors in candidates:
+        prem, expected = oracle._kernel_frame(params)
+        assert rule == RULE_KERNEL and all(p.holds for p in prem)
+        assert factors == expected
+
+
+def test_scaling_certifies_one_seed_per_presentation(monkeypatch):
+    seeds = []
+
+    def counting(*args):
+        seeds.append(args[7])
+        return t1_twisted_decide(*args)
+
+    monkeypatch.setattr(oracle, "t1_twisted_decide", counting)
+    # k = -2 fails both count guarantees, and the seed counts 1, 2 and 3
+    # all have a viable rank-one count: only the first is certified
+    assert oracle._try_scaling(UniversalProblem(4, 2, 4, 2, 5, -2), ANY, SEMI) is None
+    assert seeds == [1]
+    rng = random.Random(25)
+    for _ in range(100):
+        g, n1, n2 = rng.randint(2, 9), rng.randint(2, 5), rng.randint(2, 5)
+        p = UniversalProblem(g, n1, rng.randint(-30, 40), n2, rng.randint(-30, 40),
+                             rng.randint(1, 30))
+        for q, _ in oracle._presentations(p):
+            seeds.clear()
+            oracle._try_scaling(q, ANY, rng.choice([STABLE, SEMI]))
+            assert len(seeds) <= 1
 
 
 def test_universal_search_matches_memo_free_search_on_seeded_set():
@@ -510,6 +614,19 @@ def test_universal_search_matches_memo_free_search_on_seeded_set():
         p = UniversalProblem(g, rng.randint(1, 6), rng.randint(-30, 40),
                              rng.randint(1, 6), rng.randint(-30, 40), rng.randint(-2, 30))
         _assert_matches_memo_free_search(p, cc, rng.choice([STABLE, SEMI]))
+
+
+def test_universal_search_matches_memo_free_search_on_a_wide_box():
+    # ranks 2..5 with degrees within 2n*g of zero, 200 problems for each
+    # curve class and stability
+    rng = random.Random(25)
+    for cc, kind in itertools.product(CurveClass, (STABLE, SEMI)):
+        for _ in range(200):
+            g = rng.randint(3 if cc is NONHYP else 2, 12)
+            n1, n2 = rng.randint(2, 5), rng.randint(2, 5)
+            p = UniversalProblem(g, n1, rng.randint(-2 * n1 * g, 2 * n1 * g),
+                                 n2, rng.randint(-2 * n2 * g, 2 * n2 * g), rng.randint(1, 30))
+            _assert_matches_memo_free_search(p, cc, kind)
 
 
 @settings(max_examples=200, deadline=None)
@@ -542,6 +659,15 @@ def test_search_loops_stop_at_their_limit(monkeypatch):
     # d = 13 > 2ng = 12: the kernel window holds, so its k1 loop runs
     with pytest.raises(ValueError, match="loop over 12 kernel base section counts"):
         decide_universal(UniversalProblem(6, 2, 20, 7, -13, 50), ANY, STABLE)
+
+
+def test_kernel_search_ends_at_a_failed_first_frame():
+    # the presentation (3, 20000, 60000, 9, -12, -1) passes the kernel
+    # premises and has 54,001 base section counts, but k = -1 fails the
+    # frame on the first of them, so the search goes on without running
+    # that loop to its limit
+    dec = decide_universal(UniversalProblem(3, 20000, 20000, 9, 12, 59999), ANY, STABLE)
+    assert (dec.status, dec.certificates) == (Status.UNKNOWN, ())
 
 
 # ---------------------------------------------------------------------------
