@@ -52,9 +52,6 @@ class BNProblem:
     def section_density(self) -> Fraction:
         return Fraction(self.k, self.n)
 
-    def point(self) -> "SlopePoint":
-        return SlopePoint(self.slope, self.section_density)
-
 
 @dataclass(frozen=True)
 class UniversalProblem:
@@ -184,15 +181,6 @@ def shift_line_bundle(p: UniversalProblem, ell: int) -> UniversalProblem:
     being counted are unchanged, and so is the Euler pairing.
     """
     return UniversalProblem(p.g, p.n1, p.d1 - p.n1 * ell, p.n2, p.d2 + p.n2 * ell, p.k)
-
-
-def clifford_excess(g: int, pt: SlopePoint) -> Fraction:
-    """Height of a slope-plane point above the classical Clifford line.
-
-    Positive values are forbidden for semistable bundles of slope in [0, 2g-2].
-    """
-    _require_genus(g)
-    return pt.lam - pt.mu / 2 - 1
 
 
 def slope_point(mu: Rational, lam: Rational) -> SlopePoint:

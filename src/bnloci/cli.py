@@ -43,7 +43,7 @@ from .construct import (
     product_construct,
     product_negativity_search,
 )
-from .exactq import MAX_DIGITS, too_long
+from .exactq import MAX_DIGITS, require_printable, too_long
 from .oracle import (
     CurveClass,
     Decision,
@@ -51,6 +51,7 @@ from .oracle import (
     decide_universal,
     decide_untwisted,
     decision_to_json,
+    verify_certificate,
     verify_decision,
 )
 from .regions import (
@@ -127,9 +128,7 @@ def _plain(value: Any, name: str = "") -> Any:
 
     A number past MAX_DIGITS is refused, named by its path in the output.
     """
-    if too_long(value):
-        raise ValueError(f"output {name} has more than {MAX_DIGITS} digits, "
-                         "more than can be printed")
+    require_printable(f"output {name}", value)
     if isinstance(value, Fraction):
         return str(value)
     if isinstance(value, BNProblem):
@@ -160,9 +159,7 @@ def _csv_text(header: list[str], rows: list[list[Any]]) -> str:
 
 
 def _cell(value: Any, name: str) -> str:
-    if too_long(value):
-        raise ValueError(f"output column {name} has more than {MAX_DIGITS} digits, "
-                         "more than can be printed")
+    require_printable(f"output column {name}", value)
     if isinstance(value, Fraction):
         return str(value)
     if isinstance(value, float):
@@ -244,9 +241,7 @@ def _cmd_decide(args: argparse.Namespace) -> tuple[str, bool]:
         raise ValueError("decide needs either --rank and --degree or both "
                          "--p1 and --p2")
     # the output prints beta, and premise texts print numbers of its size
-    if too_long(beta):
-        raise ValueError(f"output decision.beta has more than {MAX_DIGITS} digits, "
-                         "more than can be printed")
+    require_printable("output decision.beta", beta)
     decision = decide(problem, cc, kind)
     verified = verify_decision(decision)
     doc = {
@@ -284,8 +279,7 @@ def _cmd_product(args: argparse.Namespace) -> tuple[str, bool]:
     cc, kind = _curve(args), _kind(args)
     w = product_construct(g, BNProblem(g, n1, d1, k1), BNProblem(g, n2, d2, k2),
                           cc, kind)
-    verified = (verify_decision(w.factor1_decision)
-                and verify_decision(w.factor2_decision))
+    verified = verify_certificate(w.certificate)
     doc = {
         "genus": g, "mode": "construct", "curve": cc.value,
         "stability": kind.value, "window": w.window,
@@ -331,13 +325,13 @@ def _cmd_kernel(args: argparse.Namespace) -> tuple[str, bool]:
     kind = _kind(args)
     w = kernel_construct(g, n1, d1, k1, args.gen_rank, args.twist, args.sections,
                          cc, kind)
-    verified = verify_decision(w.base_decision)
+    verified = verify_certificate(w.certificate)
     doc = {
         "genus": g, "mode": "construct", "curve": cc.value,
         "stability": kind.value,
         "base": {"rank": n1, "degree": d1, "sections": k1,
                  "decision": w.base_decision},
-        "generator_rank": w.n, "twist_degree": w.d,
+        "generator_rank": args.gen_rank, "twist_degree": args.twist,
         "pair": {"n2": w.n2, "d2": w.d2},
         "k": w.k, "k_max": w.k_max, "status": Status.NONEMPTY.value,
         "beta_universal": w.beta_universal, "verified": verified,

@@ -34,11 +34,12 @@ from .exactq import (
     pw_max,
     rat_ceil,
     rat_floor,
+    require_printable,
     too_long,
 )
 from .regions import StabilityKind, fg_piecewise, fg_eval, tg_piecewise, tg_eval
 from . import oracle
-from .oracle import CurveClass, Decision, Scope, Status
+from .oracle import Certificate, CurveClass, Decision, Scope, Status
 
 
 class ConstructError(ValueError):
@@ -51,18 +52,17 @@ class ConstructError(ValueError):
 
 @dataclass(frozen=True)
 class ProductWitness:
-    g: int
     factor1: BNProblem
     factor2: BNProblem
     k: int
     window: str
-    kind: StabilityKind
-    cc: CurveClass
     factor1_decision: Decision
     factor2_decision: Decision
     tensor: BNProblem
     beta_universal: int
     beta_tensor: int
+    # the ProductConstruction certificate, the factors' ones under "inner"
+    certificate: Certificate
 
 
 def product_construct(g: int, p1: BNProblem, p2: BNProblem,
@@ -70,41 +70,56 @@ def product_construct(g: int, p1: BNProblem, p2: BNProblem,
                       kind: StabilityKind = StabilityKind.STABLE) -> ProductWitness:
     """Certify the pair locus at k = k1*k2 from two nonempty factors.
 
-    The first factor must sit at slope below 2 (at most 2 in the relaxed
-    window, which needs a non-hyperelliptic curve) and the second at
-    slope at most 2g (strictly below 2g in the relaxed window).
+    The ProductConstruction judge certifies the pair at shift 0.  The first
+    factor must sit at slope below 2 (at most 2 in the relaxed window,
+    which needs a non-hyperelliptic curve) and the second at slope at
+    most 2g (strictly below 2g in the relaxed window); then each factor
+    locus, in turn, must be decided nonempty at its rank.
     """
     if p1.g != g or p2.g != g:
         raise ConstructError("factor problems must live on the same genus-g curve")
+    # the judge states these two premises too, but along with the window
+    # bounds, which must pass the digit check first
     if p1.n < 2 or p2.n < 2:
         raise ConstructError("factor ranks must both be at least 2")
     if p1.d < 1 or p2.d < 1 or p1.k < 1 or p2.k < 1:
         raise ConstructError("factor degrees and section counts must be positive")
-    # the window premises print 2*n1 and 2*g*n2
     if too_long(2 * p1.n) or too_long(2 * g * p2.n):
         raise ConstructError(f"slope window bound 2*n1 or 2*g*n2 has more than "
                              f"{MAX_DIGITS} digits, more than can be printed")
-    window = oracle.first_window(oracle.product_windows(g, p1.n, p1.d, p2.n, p2.d, cc))
+    windows = oracle.product_windows(g, p1.n, p1.d, p2.n, p2.d, cc)
+    window = oracle.first_window(windows)
     if window is None:
-        if p1.d > 2 * p1.n:
-            raise ConstructError("first factor slope exceeds 2")
-        if p1.d == 2 * p1.n:
-            raise ConstructError("first factor slope exactly 2 needs a "
-                                 "non-hyperelliptic curve with d2 < 2g*n2")
-        raise ConstructError("second factor degree exceeds 2g*n2")
-    dec1 = oracle.decide_untwisted(p1, cc, kind)
-    if dec1.status is not Status.NONEMPTY or dec1.scope is not Scope.THIS_RANK:
-        raise ConstructError("first factor locus is not certified nonempty at its rank")
-    dec2 = oracle.decide_untwisted(p2, cc, kind)
-    if dec2.status is not Status.NONEMPTY or dec2.scope is not Scope.THIS_RANK:
-        raise ConstructError("second factor locus is not certified nonempty at its rank")
+        # each window's first premise compares d1 with 2*n1
+        below, at_most = (prem[0].holds for prem in windows.values())
+        raise ConstructError(
+            "second factor degree exceeds 2g*n2" if below else
+            "first factor slope exactly 2 needs a non-hyperelliptic curve with "
+            "d2 < 2g*n2" if at_most else "first factor slope exceeds 2")
+    decisions = []
+    for which, factor in (("first", p1), ("second", p2)):
+        dec = oracle.decide_untwisted(factor, cc, kind)
+        if dec.status is not Status.NONEMPTY or dec.scope is not Scope.THIS_RANK:
+            raise ConstructError(f"{which} factor locus is not certified nonempty "
+                                 "at its rank")
+        decisions.append(dec)
     k = p1.k * p2.k
+    params = {"g": g, "kind": kind.value, "cc": cc.value,
+              "pair": {"n1": p1.n, "d1": p1.d, "n2": p2.n, "d2": p2.d},
+              "ell": 0, "k": k, "k1": p1.k, "k2": p2.k,
+              "d1_shifted": p1.d, "d2_shifted": p2.d, "window": window,
+              "beta_universal": beta_universal(g, p1.n, p1.d, p2.n, p2.d, k),
+              "beta_tensor": beta_tensor(g, p1.n, p1.d, p2.n, p2.d, k)}
+    # the premises print the counts; so does the command, in this order
+    for key in ("k", "beta_universal", "beta_tensor"):
+        require_printable(f"output {key}", params[key])
+    cert = oracle._certify(oracle.RULE_PRODUCT, {
+        **params, "inner": [c for dec in decisions for c in dec.certificates]})
     return ProductWitness(
-        g=g, factor1=p1, factor2=p2, k=k, window=window, kind=kind, cc=cc,
-        factor1_decision=dec1, factor2_decision=dec2,
-        tensor=tensor_problem(g, p1.n, p1.d, p2.n, p2.d, k),
-        beta_universal=beta_universal(g, p1.n, p1.d, p2.n, p2.d, k),
-        beta_tensor=beta_tensor(g, p1.n, p1.d, p2.n, p2.d, k))
+        factor1=p1, factor2=p2, k=k, window=window, factor1_decision=decisions[0],
+        factor2_decision=decisions[1], tensor=tensor_problem(g, p1.n, p1.d, p2.n, p2.d, k),
+        beta_universal=params["beta_universal"], beta_tensor=params["beta_tensor"],
+        certificate=cert)
 
 
 @dataclass(frozen=True)
@@ -413,31 +428,16 @@ def bpn_new_points(g: int, step: RationalLike = Fraction(1, 8)) -> list[NewPoint
 # kernel constructions
 
 
-def kernel_k_max(g: int, n1: int, d1: int, k1: int, n: int, d: int) -> int:
-    """Largest section demand the kernel construction can certify."""
-    if n < 1:
-        raise ConstructError(f"generator rank must be positive, got {n}")
-    if d <= n * (g - 1):
-        raise ConstructError(f"twist degree {d} must exceed n*(g-1) = {n * (g - 1)}")
-    return kernel_budget(g, n1, d1, k1, n, d)
-
-
 @dataclass(frozen=True)
 class KernelWitness:
-    g: int
-    n1: int
-    d1: int
-    k1: int
-    n: int
-    d: int
     k: int
     n2: int
     d2: int
     k_max: int
-    kind: StabilityKind
-    cc: CurveClass
     base_decision: Decision
     beta_universal: int
+    # the KernelConstruction certificate, the base's ones under "inner"
+    certificate: Certificate
 
 
 def _check_kernel_base(n1: int, k1: int, n: int) -> None:
@@ -450,41 +450,44 @@ def _check_kernel_base(n1: int, k1: int, n: int) -> None:
         raise ConstructError(f"generator rank must be positive, got {n}")
 
 
-def _kernel_window_check(g: int, n: int, d: int, cc: CurveClass,
-                         kind: StabilityKind) -> None:
-    if oracle.kernel_premises(g, n, d, d - n * g, -d, cc, kind)[-1].holds:
-        return
-    if kind is StabilityKind.STABLE:
-        raise ConstructError(f"twist degree {d} must exceed 2ng = {2 * n * g} "
-                             "(equality needs a non-hyperelliptic curve)")
-    raise ConstructError(f"twist degree {d} must be at least 2ng = {2 * n * g}")
-
-
 def kernel_construct(g: int, n1: int, d1: int, k1: int, n: int, d: int, k: int,
                      cc: CurveClass = CurveClass.ANY_SMOOTH,
                      kind: StabilityKind = StabilityKind.STABLE) -> KernelWitness:
     """Certify the pair locus via a kernel of a twisted evaluation map.
 
-    The second member of the pair is forced to (n2, d2) = (d - ng, -d);
-    the base locus must be certified nonempty at its rank and the demand
-    k must fit under the kernel budget.
+    The second member of the pair is forced to (n2, d2) = (d - ng, -d).
+    The KernelConstruction judge certifies the pair: the twist degree must
+    reach the window d >= 2ng, then the base locus must be decided
+    nonempty at its rank, then k must fit under the kernel budget.
     """
     _check_kernel_base(n1, k1, n)
-    _kernel_window_check(g, n, d, cc, kind)
+    n2, d2 = d - n * g, -d
+    # the last kernel premise is the twist window
+    if not oracle.kernel_premises(g, n, d, n2, d2, cc, kind)[-1].holds:
+        if kind is StabilityKind.STABLE:
+            raise ConstructError(f"twist degree {d} must exceed 2ng = {2 * n * g} "
+                                 "(equality needs a non-hyperelliptic curve)")
+        raise ConstructError(f"twist degree {d} must be at least 2ng = {2 * n * g}")
     base = oracle.decide_untwisted(BNProblem(g, n1, d1, k1), cc, kind)
     if base.status is not Status.NONEMPTY or base.scope is not Scope.THIS_RANK:
         raise ConstructError("base locus is not certified nonempty at its rank")
-    budget = kernel_budget(g, n1, d1, k1, n, d)
+    # ahead of the digit check of k_max, which the budget premise prints
     if k <= 0:
         raise ConstructError(f"section count must be positive, got {k}")
-    if k > budget:
+    params = {"g": g, "kind": kind.value, "cc": cc.value,
+              "n1": n1, "d1": d1, "k1": k1, "n": n, "d": d, "k": k, "n2": n2, "d2": d2,
+              "k_max": kernel_budget(g, n1, d1, k1, n, d),
+              "beta_universal": beta_universal(g, n1, d1, n2, d2, k)}
+    for key in ("k_max", "beta_universal"):
+        require_printable(f"output {key}", params[key])
+    cert = oracle._certify(oracle.RULE_KERNEL, {**params, "inner": list(base.certificates)})
+    if cert is None:
+        # only k <= k_max can still fail
         raise ConstructError(f"section count {k} exceeds the kernel budget "
-                             f"k_max = {budget}")
-    n2, d2 = d - n * g, -d
+                             f"k_max = {params['k_max']}")
     return KernelWitness(
-        g=g, n1=n1, d1=d1, k1=k1, n=n, d=d, k=k, n2=n2, d2=d2, k_max=budget,
-        kind=kind, cc=cc, base_decision=base,
-        beta_universal=beta_universal(g, n1, d1, n2, d2, k))
+        k=k, n2=n2, d2=d2, k_max=params["k_max"], base_decision=base,
+        beta_universal=params["beta_universal"], certificate=cert)
 
 
 def kernel_beta_quadratic(g: int, n1: int, d1: int, k1: int, n: int,

@@ -46,7 +46,7 @@ from .bncore import (
     tensor_problem,
     universal_serre_dual,
 )
-from .exactq import rat_ceil
+from .exactq import rat_ceil, require_printable
 from .regions import StabilityKind, membership_BMNO, membership_T
 
 
@@ -379,6 +379,7 @@ def _region_t(params: dict) -> Optional[Verdict]:
     v = membership_T(g, mu, lam, kind)
     if not v.inside or v.excluded_for_stable:
         return None
+    require_printable("point (d/n, k/n) of the problem or its Serre dual", mu, lam)
     prem = [
         Premise(f"({mu}, {lam}) lies in the staircase region (0 <= mu <= {2 * g - 2}, "
                 f"0 < lam <= t_g(mu))", v.inside),
@@ -400,6 +401,7 @@ def _region_bmno(params: dict) -> Optional[Verdict]:
     v = membership_BMNO(g, mu, lam, kind)
     if not v.inside or v.excluded_for_stable:
         return None
+    require_printable("point (d/n, k/n) of the problem or its Serre dual", mu, lam)
     prem = [
         Premise(f"({mu}, {lam}) lies in the sawtooth region (0 <= mu <= {2 * g - 2}, "
                 f"0 < lam <= f_g(mu))", v.inside),
@@ -917,11 +919,9 @@ def decide_universal(p: UniversalProblem, cc: CurveClass,
     through the presentation chain.  All three constructions are
     one-directional, so the fall-through answer is Unknown.
 
-    This is the only place that decides the factor loci of the product
-    and kernel constructions, once a candidate's other premises hold; their
-    certificates become its inner ones.  Each distinct factor is decided
-    once per search, and its outcome, a failed one too, is reused for the
-    rest of that search only.
+    Once a candidate's other premises hold its factor loci are decided,
+    each distinct one once per search, and their certificates become its
+    inner ones; an outcome, a failed one too, serves that search only.
     """
     check_curve_class(p.g, cc)
     beta = beta_universal(p.g, p.n1, p.d1, p.n2, p.d2, p.k)

@@ -15,12 +15,10 @@ from bnloci.bncore import (
     beta_universal,
     beta_untwisted,
     chi_pairing,
-    clifford_excess,
     moduli_dim,
     serre_dual_point,
     serre_dual_problem,
     shift_line_bundle,
-    slope_point,
     swap_factors,
     tensor_problem,
     universal_serre_dual,
@@ -86,12 +84,6 @@ def test_serre_dual_point_values():
     assert (pt.mu, pt.lam) == (Q(12), Q(21, 5))
 
 
-def test_clifford_and_curve_excess_values():
-    pt = slope_point(3, Q(441, 400))
-    assert clifford_excess(3, pt) == Q(441, 400) - Q(3, 2) - 1
-    assert clifford_excess(4, slope_point(2, 2)) == 0
-
-
 def test_genus_and_rank_validation():
     with pytest.raises(ValueError):
         BNProblem(1, 2, 3, 1)
@@ -120,7 +112,7 @@ def test_point_duality_matches_problem_duality(g, mu, lam):
     n = mu.denominator * lam.denominator
     p = BNProblem(g, n, mu.numerator * lam.denominator, lam.numerator * mu.denominator)
     q = serre_dual_problem(p)
-    assert q.point() == dual
+    assert SlopePoint(q.slope, q.section_density) == dual
 
 
 @given(genera, ranks, degrees, ranks, degrees, sections)

@@ -509,6 +509,35 @@ def test_product_window_bound_of_too_many_digits_is_refused(capsys, monkeypatch,
                             "4300 digits, more than can be printed\n")
 
 
+# ranks of 4300 digits whose Serre duals' slopes (2n(g-1) - d)/n have
+# numerators of 4301
+_N = 10**4299
+_M = 12 * 10**4298 + 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["decide", "--genus", "9", "--rank", str(_N), "--degree", str(_N + 1),
+     "--sections", str(_N)],
+    ["product", "--genus", "9", "--p1", f"{_N},{_N + 1},{_N}", "--p2", "2,3,2"],
+    ["kernel", "--genus", "9", "--base", f"{_M},{7 * _M + 1},{3 * _M // 2}",
+     "--twist", "19", "--sections", "1"],
+], ids=["decide", "product-factor", "kernel-base"])
+def test_serre_dual_point_of_too_many_digits_is_refused(capsys, argv):
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: point (d/n, k/n) of the problem or its Serre dual "
+                            "has more than 4300 digits, more than can be printed\n")
+
+
+def test_serre_dual_point_that_reduces_is_answered(capsys):
+    # at d = n the dual slope reduces to 15
+    code, doc = run_json(capsys, ["decide", "--genus", "9", "--rank", str(_N),
+                                  "--degree", str(_N), "--sections", str(_N)])
+    assert code == 0
+    assert doc["verified"] is True
+
+
 def test_negativity_cap_of_too_many_digits_is_named(capsys):
     assert cli.main(["product", "--genus", "6", "--negativity", "--mu1=1/3",
                      "--lam1=1e-4299", "--mu2", "3", "--lam2", "1"]) == 1
@@ -533,6 +562,18 @@ def test_verification_failure_exits_two(capsys, monkeypatch):
     monkeypatch.setattr(cli, "verify_decision", lambda dec: False)
     code, doc = run_json(capsys, ["decide", "--genus", "4", "--rank", "2",
                                   "--degree", "11", "--sections", "6"])
+    assert code == 2
+    assert doc["verified"] is False
+
+
+@pytest.mark.parametrize("argv", [
+    ["product", "--genus", "6", "--p1", "2,3,2", "--p2", "2,3,2"],
+    ["kernel", "--genus", "4", "--base", "2,11,6", "--twist", "11", "--sections", "21"],
+], ids=["product", "kernel"])
+def test_construction_verification_failure_exits_two(capsys, monkeypatch, argv):
+    assert run_json(capsys, argv)[1]["verified"] is True
+    monkeypatch.setattr(cli, "verify_certificate", lambda cert: False)
+    code, doc = run_json(capsys, argv)
     assert code == 2
     assert doc["verified"] is False
 

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import random
+import re
 import sys
+from collections import Counter
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction as Q
 from functools import lru_cache
 from math import lcm
@@ -14,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bnloci import construct, oracle
-from bnloci.bncore import BNProblem, beta_universal
+from bnloci.bncore import BNProblem, beta_tensor, beta_universal, kernel_budget, tensor_problem
 from bnloci.construct import (
     MAX_GRID_SLOPES,
     MAX_NEGATIVITY_WORK,
@@ -29,12 +31,12 @@ from bnloci.construct import (
     grid_slopes,
     kernel_beta_quadratic,
     kernel_construct,
-    kernel_k_max,
     kernel_negativity_min_d,
     product_construct,
     product_negativity_search,
 )
 from bnloci.exactq import (
+    MAX_DIGITS,
     DomainError,
     PiecewiseFn,
     Quadratic,
@@ -43,8 +45,10 @@ from bnloci.exactq import (
     as_rational,
     pw_max,
     rat_ceil,
+    too_long,
 )
-from bnloci.oracle import CurveClass, Status
+from bnloci.oracle import (CurveClass, Decision, Scope, Status, verify_certificate,
+                           verify_decision)
 from bnloci.regions import StabilityKind, fg_eval, fg_piecewise, tg_eval, tg_piecewise
 from timing import time_limit
 
@@ -525,10 +529,8 @@ def test_bpn_new_points_bounds_the_grid(monkeypatch):
 
 
 def test_kernel_k_max_values():
-    assert kernel_k_max(4, 2, 11, 6, 1, 11) == 21
-    assert kernel_k_max(4, 2, 11, 6, 1, 8) == 9
-    with pytest.raises(ConstructError, match="exceed"):
-        kernel_k_max(4, 2, 11, 6, 1, 3)
+    assert kernel_budget(4, 2, 11, 6, 1, 11) == 21
+    assert kernel_budget(4, 2, 11, 6, 1, 8) == 9
 
 
 def test_kernel_construct_example():
@@ -580,7 +582,7 @@ def test_kernel_quadratic_matches_universal_count():
 
 
 def test_kernel_budget_monotone_in_degree():
-    values = [kernel_k_max(4, 2, 11, 6, 1, d) for d in range(8, 40)]
+    values = [kernel_budget(4, 2, 11, 6, 1, d) for d in range(8, 40)]
     assert all(b - a == 4 for a, b in zip(values, values[1:]))
 
 
@@ -646,6 +648,141 @@ def test_kernel_negativity_rejections():
 
 
 # ---------------------------------------------------------------------------
+# the product and kernel precondition chains, as they stood before both
+# constructions certified through their judges: the reference for the
+# witness fields and refusal texts
+
+
+def _ref_product_construct(g, p1, p2, cc=ANY, kind=STABLE) -> dict:
+    if p1.g != g or p2.g != g:
+        raise ConstructError("factor problems must live on the same genus-g curve")
+    if p1.n < 2 or p2.n < 2:
+        raise ConstructError("factor ranks must both be at least 2")
+    if p1.d < 1 or p2.d < 1 or p1.k < 1 or p2.k < 1:
+        raise ConstructError("factor degrees and section counts must be positive")
+    if too_long(2 * p1.n) or too_long(2 * g * p2.n):
+        raise ConstructError(f"slope window bound 2*n1 or 2*g*n2 has more than "
+                             f"{MAX_DIGITS} digits, more than can be printed")
+    if p1.d < 2 * p1.n and p2.d <= 2 * g * p2.n:
+        window = "standard"
+    elif (p1.d <= 2 * p1.n and p2.d < 2 * g * p2.n
+          and oracle.implies_nonhyperelliptic(cc, g)):
+        window = "relaxed"
+    elif p1.d > 2 * p1.n:
+        raise ConstructError("first factor slope exceeds 2")
+    elif p1.d == 2 * p1.n:
+        raise ConstructError("first factor slope exactly 2 needs a "
+                             "non-hyperelliptic curve with d2 < 2g*n2")
+    else:
+        raise ConstructError("second factor degree exceeds 2g*n2")
+    dec1 = oracle.decide_untwisted(p1, cc, kind)
+    if dec1.status is not Status.NONEMPTY or dec1.scope is not Scope.THIS_RANK:
+        raise ConstructError("first factor locus is not certified nonempty at its rank")
+    dec2 = oracle.decide_untwisted(p2, cc, kind)
+    if dec2.status is not Status.NONEMPTY or dec2.scope is not Scope.THIS_RANK:
+        raise ConstructError("second factor locus is not certified nonempty at its rank")
+    k = p1.k * p2.k
+    return dict(
+        factor1=p1, factor2=p2, k=k, window=window,
+        factor1_decision=dec1, factor2_decision=dec2,
+        tensor=tensor_problem(g, p1.n, p1.d, p2.n, p2.d, k),
+        beta_universal=beta_universal(g, p1.n, p1.d, p2.n, p2.d, k),
+        beta_tensor=beta_tensor(g, p1.n, p1.d, p2.n, p2.d, k))
+
+
+def _ref_kernel_construct(g, n1, d1, k1, n, d, k, cc=ANY, kind=STABLE) -> dict:
+    if n1 < 2:
+        raise ConstructError(f"base rank must be at least 2, got {n1}")
+    if k1 <= n1:
+        raise ConstructError(f"base section count {k1} must exceed the base rank {n1}")
+    if n < 1:
+        raise ConstructError(f"generator rank must be positive, got {n}")
+    if kind is STABLE:
+        if not (d > 2 * n * g or d == 2 * n * g and oracle.implies_nonhyperelliptic(cc, g)):
+            raise ConstructError(f"twist degree {d} must exceed 2ng = {2 * n * g} "
+                                 "(equality needs a non-hyperelliptic curve)")
+    elif d < 2 * n * g:
+        raise ConstructError(f"twist degree {d} must be at least 2ng = {2 * n * g}")
+    base = oracle.decide_untwisted(BNProblem(g, n1, d1, k1), cc, kind)
+    if base.status is not Status.NONEMPTY or base.scope is not Scope.THIS_RANK:
+        raise ConstructError("base locus is not certified nonempty at its rank")
+    budget = (d - n * (g - 1)) * (k1 - n1) - n * d1
+    if k <= 0:
+        raise ConstructError(f"section count must be positive, got {k}")
+    if k > budget:
+        raise ConstructError(f"section count {k} exceeds the kernel budget "
+                             f"k_max = {budget}")
+    n2, d2 = d - n * g, -d
+    return dict(
+        k=k, n2=n2, d2=d2, k_max=budget, base_decision=base,
+        beta_universal=beta_universal(g, n1, d1, n2, d2, k))
+
+
+def _same_outcome(construct_fn, ref_fn, *args) -> Optional[str]:
+    """Run both: the same refusal text or the same witness fields.  Returns
+    the refusal text, or None after checking the witness's certificate."""
+    try:
+        want = ref_fn(*args)
+    except ConstructError as exc:
+        with pytest.raises(ConstructError) as got:
+            construct_fn(*args)
+        assert str(got.value) == str(exc)
+        return str(exc)
+    w = construct_fn(*args)
+    assert {**vars(w), "certificate": None} == {**want, "certificate": None}
+    # the one certificate concludes the locus nonempty at this rank
+    assert verify_decision(Decision(Status.NONEMPTY, Scope.THIS_RANK, w.beta_universal,
+                                    (w.certificate,)))
+    return None
+
+
+def _template(refusal: Optional[str]) -> Optional[str]:
+    return refusal and re.sub(r"-?\d+", "N", refusal)
+
+
+def test_product_construct_matches_reference_chain():
+    rng = random.Random(27)
+    seen = Counter()
+    for _ in range(2500):
+        # query-mix's product box, widened past each edge
+        g = rng.randint(3, 10)
+        n1, n2 = (rng.choice((1, 2, 2, 3, 3, 4, 4)) for _ in range(2))
+        p1 = BNProblem(g, n1, rng.randint(0, 2 * n1 + 1), rng.randint(1, n1 + 1))
+        p2 = BNProblem(g, n2, rng.randint(1, 2 * (g + 1) * n2), rng.randint(1, n2 + 2))
+        cc, kind = rng.choice(list(CurveClass)), rng.choice(list(StabilityKind))
+        seen[_same_outcome(product_construct, _ref_product_construct,
+                           g, p1, p2, cc, kind)] += 1
+    # successes and each refusal past the genus and digit checks, often
+    assert len(seen) == 8 and min(seen.values()) >= 20
+
+
+def test_kernel_construct_matches_reference_chain():
+    rng = random.Random(27)
+    seen = Counter()
+    base_and_budget = 0
+    for _ in range(2500):
+        # query-mix's kernel box, widened to reach every refusal
+        g = rng.randint(3, 8)
+        n1 = rng.choice((1, 2, 2, 2, 3, 3, 3))
+        k1 = n1 + rng.choice((0, 1, 1, 2, 2, 3, 3))
+        d1 = rng.randint(n1, n1 * (2 * g - 1))
+        n = rng.choice((0, 1, 1, 1, 1, 1, 2))
+        d = 2 * max(n, 1) * g + rng.randint(-1, 3)
+        budget = (d - n * (g - 1)) * (k1 - n1) - n * d1
+        k = rng.randint(-1, max(1, budget) + 2)
+        cc, kind = rng.choice(list(CurveClass)), rng.choice(list(StabilityKind))
+        refusal = _same_outcome(kernel_construct, _ref_kernel_construct,
+                                g, n1, d1, k1, n, d, k, cc, kind)
+        seen[_template(refusal)] += 1
+        base_and_budget += (refusal is not None and refusal.startswith("base locus")
+                            and not 0 < k <= budget)
+    # successes and each refusal, often; the base decision is refused
+    # first when the budget fails too
+    assert len(seen) == 9 and min(seen.values()) >= 20
+    assert base_and_budget >= 100
+
+
+# ---------------------------------------------------------------------------
 # admissible degrees
 
 
@@ -677,4 +814,21 @@ def test_c6_degrees_admit_negative_families(g, n1, data):
         w = kernel_negativity_min_d(g, n1, d1, k1, 1,
                                     1 * ((k1 - n1) * (g - 1) + d1))
         assert w.beta < 0
-        assert w.k <= kernel_k_max(g, n1, d1, k1, 1, w.d_min)
+        assert w.k <= kernel_budget(g, n1, d1, k1, 1, w.d_min)
+
+
+@pytest.mark.parametrize("construct_fn, args, key, value", [
+    (product_construct, (6, BNProblem(6, 2, 3, 2), BNProblem(6, 2, 3, 2)), key, value)
+    for key, value in [("window", "relaxed"), ("k1", 4), ("k2", 1), ("ell", 1),
+                       ("beta_universal", -5), ("beta_tensor", 34)]
+] + [
+    (kernel_construct, (4, 2, 11, 6, 1, 11, 21), key, value)
+    for key, value in [("k1", 7), ("k_max", 22), ("beta_universal", -6)]
+])
+def test_construction_certificate_rejects_mutation(construct_fn, args, key, value):
+    cert = construct_fn(*args).certificate
+    assert verify_certificate(cert)
+    params = {**cert.params, key: value}
+    # neither with the stored premises nor with any others
+    assert not verify_certificate(replace(cert, params=params))
+    assert oracle._certify(cert.rule, params) is None

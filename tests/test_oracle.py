@@ -25,10 +25,8 @@ from bnloci.bncore import (
     beta_universal,
     beta_untwisted,
     chi_pairing,
-    clifford_excess,
     serre_dual_problem,
     shift_line_bundle,
-    slope_point,
     swap_factors,
     tensor_problem,
     universal_serre_dual,
@@ -1045,7 +1043,7 @@ def _classical_violation(g: int, n: int, d: int, k: int) -> Optional[str]:
     mu = Q(d, n)
     if mu < 0:
         return "a semistable bundle of negative slope has no sections"
-    if mu <= 2 * g - 2 and clifford_excess(g, slope_point(mu, Q(k, n))) > 0:
+    if mu <= 2 * g - 2 and Q(k, n) > mu / 2 + 1:
         return "Clifford: h^0 <= d/2 + n for 0 <= mu <= 2g-2"
     if mu > 2 * g - 2 and k > d - n * (g - 1):
         return "Riemann-Roch: h^0 = d - n(g-1) once h^1 = 0 for mu > 2g-2"
