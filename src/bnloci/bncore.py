@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactq import Rational, as_rational
+from .exactq import as_rational
 
 
 def _require_genus(g: int) -> None:
@@ -181,8 +181,3 @@ def shift_line_bundle(p: UniversalProblem, ell: int) -> UniversalProblem:
     being counted are unchanged, and so is the Euler pairing.
     """
     return UniversalProblem(p.g, p.n1, p.d1 - p.n1 * ell, p.n2, p.d2 + p.n2 * ell, p.k)
-
-
-def slope_point(mu: Rational, lam: Rational) -> SlopePoint:
-    """Convenience constructor accepting ints, Fractions or 'p/q' strings."""
-    return SlopePoint(mu, lam)

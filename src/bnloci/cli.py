@@ -16,10 +16,11 @@ import json
 import re
 import sys
 from fractions import Fraction
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from .bncore import (
     BNProblem,
+    SlopePoint,
     UniversalProblem,
     _require_genus,
     beta_tensor,
@@ -29,7 +30,6 @@ from .bncore import (
     chi_pairing,
     moduli_dim,
     serre_dual_point,
-    slope_point,
     tensor_problem,
 )
 from .construct import (
@@ -43,7 +43,7 @@ from .construct import (
     product_construct,
     product_negativity_search,
 )
-from .exactq import MAX_DIGITS, require_printable, too_long
+from .exactq import MAX_DIGITS, too_long
 from .oracle import (
     CurveClass,
     Decision,
@@ -64,9 +64,6 @@ from .regions import (
     region_polyline,
     tg_eval,
 )
-
-Handler = Callable[[argparse.Namespace], tuple[str, bool]]
-
 
 # ---------------------------------------------------------------------------
 # argument parsing helpers
@@ -123,12 +120,18 @@ def _kind(args: argparse.Namespace) -> StabilityKind:
 # output helpers
 
 
+def _require_printable(name: str, value: Any) -> None:
+    if too_long(value):
+        raise ValueError(f"{name} has more than {MAX_DIGITS} digits, "
+                         "more than can be printed")
+
+
 def _plain(value: Any, name: str = "") -> Any:
     """Render exact values for JSON: fractions as 'p/q', problems as dicts.
 
     A number past MAX_DIGITS is refused, named by its path in the output.
     """
-    require_printable(f"output {name}", value)
+    _require_printable(f"output {name}", value)
     if isinstance(value, Fraction):
         return str(value)
     if isinstance(value, BNProblem):
@@ -159,7 +162,7 @@ def _csv_text(header: list[str], rows: list[list[Any]]) -> str:
 
 
 def _cell(value: Any, name: str) -> str:
-    require_printable(f"output column {name}", value)
+    _require_printable(f"output column {name}", value)
     if isinstance(value, Fraction):
         return str(value)
     if isinstance(value, float):
@@ -232,16 +235,12 @@ def _cmd_decide(args: argparse.Namespace) -> tuple[str, bool]:
     cc, kind = _curve(args), _kind(args)
     if args.p1 is not None and args.p2 is not None:
         (n1, d1), (n2, d2) = args.p1, args.p2
-        problem = UniversalProblem(g, n1, d1, n2, d2, k)
-        beta, decide = beta_universal(g, n1, d1, n2, d2, k), decide_universal
+        problem, decide = UniversalProblem(g, n1, d1, n2, d2, k), decide_universal
     elif args.rank is not None and args.degree is not None:
-        problem = BNProblem(g, args.rank, args.degree, k)
-        beta, decide = beta_untwisted(g, args.rank, args.degree, k), decide_untwisted
+        problem, decide = BNProblem(g, args.rank, args.degree, k), decide_untwisted
     else:
         raise ValueError("decide needs either --rank and --degree or both "
                          "--p1 and --p2")
-    # the output prints beta, and premise texts print numbers of its size
-    require_printable("output decision.beta", beta)
     decision = decide(problem, cc, kind)
     verified = verify_decision(decision)
     doc = {
@@ -453,7 +452,7 @@ def _excluded_markers(g: int) -> list[tuple[Fraction, Fraction, str]]:
                 continue
             for lam in (Fraction(s), tg_eval(g, mu), fg_eval(g, mu)):
                 candidates.append((mu, lam))
-                dual = serre_dual_point(g, slope_point(mu, lam))
+                dual = serre_dual_point(g, SlopePoint(mu, lam))
                 candidates.append((dual.mu, dual.lam))
     markers: dict[tuple[Fraction, Fraction], str] = {}
     for mu, lam in candidates:
@@ -690,18 +689,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Python's int-to-text limit, which inputs are parsed under; Python before
+# 3.10.7 has none, and then the limit is left alone
+_get_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+_set_digit_limit = getattr(sys, "set_int_max_str_digits", lambda limit: None)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
+    # the command runs with the limit lifted, so a message prints any number
+    # computed from the inputs in full; _plain and _cell refuse output ones
+    limit = _get_digit_limit()
+    _set_digit_limit(0)
     try:
         text, verified = args.handler(args)
     except (ValueError, RuntimeError) as exc:
         # RuntimeError: a negativity scan that ran out of its provable range
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        _set_digit_limit(limit)
     try:
         _emit(text, args)
     except OSError as exc:

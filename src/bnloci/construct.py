@@ -25,7 +25,6 @@ from .bncore import (
     tensor_problem,
 )
 from .exactq import (
-    MAX_DIGITS,
     DomainError,
     Quadratic,
     Rational,
@@ -34,8 +33,6 @@ from .exactq import (
     pw_max,
     rat_ceil,
     rat_floor,
-    require_printable,
-    too_long,
 )
 from .regions import StabilityKind, fg_piecewise, fg_eval, tg_piecewise, tg_eval
 from . import oracle
@@ -78,15 +75,12 @@ def product_construct(g: int, p1: BNProblem, p2: BNProblem,
     """
     if p1.g != g or p2.g != g:
         raise ConstructError("factor problems must live on the same genus-g curve")
-    # the judge states these two premises too, but along with the window
-    # bounds, which must pass the digit check first
+    # the judge states these two premises too, but after the window, whose
+    # refusal they must come before
     if p1.n < 2 or p2.n < 2:
         raise ConstructError("factor ranks must both be at least 2")
     if p1.d < 1 or p2.d < 1 or p1.k < 1 or p2.k < 1:
         raise ConstructError("factor degrees and section counts must be positive")
-    if too_long(2 * p1.n) or too_long(2 * g * p2.n):
-        raise ConstructError(f"slope window bound 2*n1 or 2*g*n2 has more than "
-                             f"{MAX_DIGITS} digits, more than can be printed")
     windows = oracle.product_windows(g, p1.n, p1.d, p2.n, p2.d, cc)
     window = oracle.first_window(windows)
     if window is None:
@@ -110,9 +104,6 @@ def product_construct(g: int, p1: BNProblem, p2: BNProblem,
               "d1_shifted": p1.d, "d2_shifted": p2.d, "window": window,
               "beta_universal": beta_universal(g, p1.n, p1.d, p2.n, p2.d, k),
               "beta_tensor": beta_tensor(g, p1.n, p1.d, p2.n, p2.d, k)}
-    # the premises print the counts; so does the command, in this order
-    for key in ("k", "beta_universal", "beta_tensor"):
-        require_printable(f"output {key}", params[key])
     cert = oracle._certify(oracle.RULE_PRODUCT, {
         **params, "inner": [c for dec in decisions for c in dec.certificates]})
     return ProductWitness(
@@ -184,10 +175,9 @@ def product_negativity_search(g: int, mu1: RationalLike, lam1: RationalLike,
         opts2 = [n for n in range(den2, top + 1, den2) if n >= 2]
         work += 1 + len(opts1) + len(opts2) + len(opts1) * len(opts2)
         if work > MAX_NEGATIVITY_WORK:
-            cap_text = f"of more than {MAX_DIGITS} digits" if too_long(cap) else cap
             raise ConstructError(
                 f"negativity scan needs more than {MAX_NEGATIVITY_WORK} steps of "
-                f"work: no witness below rank {top}, provable cap rank {cap_text}")
+                f"work: no witness below rank {top}, provable cap rank {cap}")
         for n1 in opts1:
             for n2 in opts2:
                 if max(n1, n2) != top:
@@ -221,7 +211,7 @@ def _envelope_table(g: int) -> tuple:
     return (den, *([x.numerator * (den // x.denominator) for x in col] for col in cols))
 
 
-def _bpn_direct(g: int, mu: Rational) -> Optional[tuple]:
+def _bpn_direct(g: int, mu: Rational) -> tuple:
     """Exact sup of F(t)*F(mu - t) over the open window t in (0, min(2, mu)).
 
     With w = min(2, mu), the grid is {0, w}, the envelope breakpoints b
@@ -246,8 +236,6 @@ def _bpn_direct(g: int, mu: Rational) -> Optional[tuple]:
     value of F at an int over E = D*M; only the winner becomes Fractions.
     """
     p, q = mu.numerator, mu.denominator
-    if p <= 0:
-        return None
     den, xs, ys, slopes, icpts = _envelope_table(g)
     m = den * q
     mu_m = p * den
@@ -471,15 +459,13 @@ def kernel_construct(g: int, n1: int, d1: int, k1: int, n: int, d: int, k: int,
     base = oracle.decide_untwisted(BNProblem(g, n1, d1, k1), cc, kind)
     if base.status is not Status.NONEMPTY or base.scope is not Scope.THIS_RANK:
         raise ConstructError("base locus is not certified nonempty at its rank")
-    # ahead of the digit check of k_max, which the budget premise prints
+    # the judge's budget premise fails too, but with the budget's text
     if k <= 0:
         raise ConstructError(f"section count must be positive, got {k}")
     params = {"g": g, "kind": kind.value, "cc": cc.value,
               "n1": n1, "d1": d1, "k1": k1, "n": n, "d": d, "k": k, "n2": n2, "d2": d2,
               "k_max": kernel_budget(g, n1, d1, k1, n, d),
               "beta_universal": beta_universal(g, n1, d1, n2, d2, k)}
-    for key in ("k_max", "beta_universal"):
-        require_printable(f"output {key}", params[key])
     cert = oracle._certify(oracle.RULE_KERNEL, {**params, "inner": list(base.certificates)})
     if cert is None:
         # only k <= k_max can still fail

@@ -38,13 +38,6 @@ def too_long(value: object) -> bool:
             and max(abs(value.numerator), value.denominator) >= _TOO_LONG)
 
 
-def require_printable(name: str, *values: object) -> None:
-    """Refuse values of which one is too_long, by the name given for them."""
-    if any(map(too_long, values)):
-        raise ValueError(f"{name} has more than {MAX_DIGITS} digits, "
-                         "more than can be printed")
-
-
 def as_rational(x: RationalLike) -> Fraction:
     """Coerce ints, 'p/q' strings and Fractions to Fraction."""
     return x if isinstance(x, Fraction) else Fraction(x)

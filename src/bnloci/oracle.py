@@ -46,7 +46,7 @@ from .bncore import (
     tensor_problem,
     universal_serre_dual,
 )
-from .exactq import rat_ceil, require_printable
+from .exactq import rat_ceil
 from .regions import StabilityKind, membership_BMNO, membership_T
 
 
@@ -379,7 +379,6 @@ def _region_t(params: dict) -> Optional[Verdict]:
     v = membership_T(g, mu, lam, kind)
     if not v.inside or v.excluded_for_stable:
         return None
-    require_printable("point (d/n, k/n) of the problem or its Serre dual", mu, lam)
     prem = [
         Premise(f"({mu}, {lam}) lies in the staircase region (0 <= mu <= {2 * g - 2}, "
                 f"0 < lam <= t_g(mu))", v.inside),
@@ -401,7 +400,6 @@ def _region_bmno(params: dict) -> Optional[Verdict]:
     v = membership_BMNO(g, mu, lam, kind)
     if not v.inside or v.excluded_for_stable:
         return None
-    require_printable("point (d/n, k/n) of the problem or its Serre dual", mu, lam)
     prem = [
         Premise(f"({mu}, {lam}) lies in the sawtooth region (0 <= mu <= {2 * g - 2}, "
                 f"0 < lam <= f_g(mu))", v.inside),
@@ -455,15 +453,13 @@ def _line_reduction(params: dict) -> Optional[Verdict]:
     if not _wraps(params, "reduced"):
         return None
     p = UniversalProblem(**prob)
-    prem = [Premise(f"one moving factor has rank one ({p.n1}, {p.n2})",
-                    p.n1 == 1 or p.n2 == 1)]
-    if not _holds(prem):
-        return None
     expect = _problem_params(tensor_problem(p.g, p.n1, p.d1, p.n2, p.d2, p.k))
-    prem.append(Premise(
-        f"reduced untwisted data {reduced} matches the line-bundle twist {expect}",
-        expect == reduced))
-    return _verdict(prem, None, params["inner"])
+    return _verdict([
+        Premise(f"one moving factor has rank one ({p.n1}, {p.n2})",
+                p.n1 == 1 or p.n2 == 1),
+        Premise(f"reduced untwisted data {reduced} matches the line-bundle twist "
+                f"{expect}", expect == reduced),
+    ], None, params["inner"])
 
 
 def _twisted_scaling(params: dict) -> Optional[Verdict]:

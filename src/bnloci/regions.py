@@ -56,8 +56,7 @@ def eta_hat_prime(g: int, s: int) -> int:
 
     Equals min{d : beta(1, d+1, s) >= 1} = s + g - 2 - floor((g-1)/s).
     """
-    if g < 2:
-        raise ValueError(f"genus must be >= 2, got {g}")
+    _require_genus(g)
     if s < 1:
         raise ValueError(f"section count must be >= 1, got {s}")
     return s + g - 2 - (g - 1) // s
@@ -68,8 +67,7 @@ def eta_hat(g: int, s: int) -> int:
 
     Equals min{d : beta(1, d, s) >= 0} = s + g - 1 - floor(g/s).
     """
-    if g < 2:
-        raise ValueError(f"genus must be >= 2, got {g}")
+    _require_genus(g)
     if s < 1:
         raise ValueError(f"section count must be >= 1, got {s}")
     return s + g - 1 - g // s

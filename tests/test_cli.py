@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from bnloci import cli, oracle, selftest
+from bnloci import cli, selftest
+from bnloci.bncore import kernel_budget
 from bnloci.construct import bpn_boundary
 from timing import time_limit
 
@@ -477,57 +478,69 @@ def test_output_number_of_too_many_digits_is_named(capsys, argv, name):
                             "more than can be printed\n")
 
 
-def test_decide_of_too_long_a_count_is_refused_before_deciding(capsys, monkeypatch):
-    # the count of this rank-one problem is near 10^8400; its premises
-    # would print it while deciding
-    def refuse(*args):
-        raise AssertionError("decided a problem whose count cannot be printed")
+def _text(n: int) -> str:
+    """n in decimal, past Python's int-to-text limit too."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
-    monkeypatch.setattr(cli, "decide_untwisted", refuse)
+
+def _refusal(capsys, argv: list[str]) -> str:
+    """The one error line of a command that exits 1 within 10 s."""
+    with time_limit(10):
+        assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+    return captured.err
+
+
+def test_decide_of_too_long_a_count_is_refused_after_deciding(capsys):
+    # the count of this rank-one problem is near 10^8400: the decision is
+    # made, and the output refuses the count by its path
     nines = "9" * 4200
-    assert cli.main(["decide", "--genus", "3", "--rank", "1", "--degree", f"-{nines}",
-                     "--sections", nines, "--curve", "petri"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == ("error: output decision.beta has more than 4300 digits, "
-                            "more than can be printed\n")
+    assert _refusal(capsys, [
+        "decide", "--genus", "3", "--rank", "1", "--degree", f"-{nines}",
+        "--sections", nines, "--curve", "petri"]) == (
+        "error: output decision.beta has more than 4300 digits, "
+        "more than can be printed\n")
 
 
-@pytest.mark.parametrize("p1, p2", [
-    ("3,8,9", f"{'9' * 4299},5,1"),  # 2*g*n2 has 4301 digits
-    (f"5{'0' * 4299},5,1", "3,8,9"),  # 2*n1 = 10^4300
+@pytest.mark.parametrize("p1, p2, message", [
+    # 2*g*n2 has 4301 digits; the first factor's slope 8/3 is out of window
+    ("3,8,9", f"{'9' * 4299},5,1", "first factor slope exceeds 2"),
+    # 2*n1 = 10^4300; the second factor's slope 8/3 has no certificate
+    (f"5{'0' * 4299},5,1", "3,8,9",
+     "second factor locus is not certified nonempty at its rank"),
 ], ids=["2*g*n2", "2*n1"])
-def test_product_window_bound_of_too_many_digits_is_refused(capsys, monkeypatch, p1, p2):
-    def refuse(*args):
-        raise AssertionError("formatted a window bound that cannot be printed")
-
-    monkeypatch.setattr(oracle, "product_windows", refuse)
-    assert cli.main(["product", "--genus", "9", "--p1", p1, "--p2", p2]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == ("error: slope window bound 2*n1 or 2*g*n2 has more than "
-                            "4300 digits, more than can be printed\n")
+def test_product_window_bound_of_too_many_digits_is_refused(capsys, p1, p2, message):
+    assert _refusal(capsys, ["product", "--genus", "9", "--p1", p1, "--p2", p2]) == (
+        f"error: {message}\n")
 
 
 # ranks of 4300 digits whose Serre duals' slopes (2n(g-1) - d)/n have
 # numerators of 4301
 _N = 10**4299
 _M = 12 * 10**4298 + 1
+_DUAL_D = "decision.certificates[2].params.dual.d has more than 4300 digits"
 
 
-@pytest.mark.parametrize("argv", [
-    ["decide", "--genus", "9", "--rank", str(_N), "--degree", str(_N + 1),
-     "--sections", str(_N)],
-    ["product", "--genus", "9", "--p1", f"{_N},{_N + 1},{_N}", "--p2", "2,3,2"],
-    ["kernel", "--genus", "9", "--base", f"{_M},{7 * _M + 1},{3 * _M // 2}",
-     "--twist", "19", "--sections", "1"],
+@pytest.mark.parametrize("argv, message", [
+    (["decide", "--genus", "9", "--rank", str(_N), "--degree", str(_N + 1),
+      "--sections", str(_N)], f"output {_DUAL_D}, more than can be printed"),
+    (["product", "--genus", "9", "--p1", f"{_N},{_N + 1},{_N}", "--p2", "2,3,2"],
+     f"output factor1.{_DUAL_D}, more than can be printed"),
+    # the base is decided nonempty through its dual; the budget fails
+    (["kernel", "--genus", "9", "--base", f"{_M},{7 * _M + 1},{3 * _M // 2}",
+      "--twist", "19", "--sections", "1"],
+     "section count 1 exceeds the kernel budget k_max = "
+     + _text(kernel_budget(9, _M, 7 * _M + 1, 3 * _M // 2, 1, 19))),
 ], ids=["decide", "product-factor", "kernel-base"])
-def test_serre_dual_point_of_too_many_digits_is_refused(capsys, argv):
-    assert cli.main(argv) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == ("error: point (d/n, k/n) of the problem or its Serre dual "
-                            "has more than 4300 digits, more than can be printed\n")
+def test_serre_dual_point_of_too_many_digits_is_refused(capsys, argv, message):
+    assert _refusal(capsys, argv) == f"error: {message}\n"
 
 
 def test_serre_dual_point_that_reduces_is_answered(capsys):
@@ -539,13 +552,70 @@ def test_serre_dual_point_that_reduces_is_answered(capsys):
 
 
 def test_negativity_cap_of_too_many_digits_is_named(capsys):
-    assert cli.main(["product", "--genus", "6", "--negativity", "--mu1=1/3",
-                     "--lam1=1e-4299", "--mu2", "3", "--lam2", "1"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == ("error: negativity scan needs more than 1000000 steps of "
-                            "work: no witness below rank 1414, provable cap rank of "
-                            "more than 4300 digits\n")
+    err = _refusal(capsys, ["product", "--genus", "6", "--negativity", "--mu1=1/3",
+                            "--lam1=1e-4299", "--mu2", "3", "--lam2", "1"])
+    head = ("error: negativity scan needs more than 1000000 steps of work: no "
+            "witness below rank 1414, provable cap rank ")
+    # the cap is printed in full
+    assert err.startswith(head) and err[len(head):-1].isdigit()
+    assert len(err) == 10858
+
+
+@pytest.mark.parametrize("argv, message", [
+    # the first factor's small-slope threshold n + g(k - n) has 4301 digits
+    (["product", "--genus", "9", "--p1", f"2,3,{2 * 10**4299}", "--p2", "2,3,2"],
+     "first factor locus is not certified nonempty at its rank"),
+    # the kernel premises print d - ng and 2ng, of 4304 digits
+    (["kernel", "--genus", "9", "--base", "2,11,6", "--gen-rank", str(10**4299),
+      "--twist", "20", "--sections", "1"],
+     f"twist degree 20 must exceed 2ng = 18{'0' * 4299} "
+     "(equality needs a non-hyperelliptic curve)"),
+], ids=["product-factor-threshold", "kernel-generator-rank"])
+def test_premise_numbers_past_the_digit_limit_are_printed(capsys, argv, message):
+    assert _refusal(capsys, argv) == f"error: {message}\n"
+
+
+def test_sections_of_4300_digits_reach_the_search_loop_limit(capsys):
+    err = _refusal(capsys, ["decide", "--genus", "6", "--p1", "2,3", "--p2", "2,3",
+                            "--sections", str(10**4299)])
+    assert err.startswith("error: universal search loop over ")
+    assert err.endswith(" trial divisors passed its limit of 50000 steps\n")
+
+
+def test_digit_limit_is_restored_on_every_exit(capsys, monkeypatch):
+    during = []
+
+    def decide_and_raise(*args):
+        during.append(sys.get_int_max_str_digits())
+        raise KeyError("raised")
+
+    decide = ["decide", "--genus", "4", "--rank", "2", "--degree", "11", "--sections", "6"]
+    exits = [
+        (decide, 0, None),
+        (["decide", "--genus", "1", "--rank", "2", "--degree", "1", "--sections", "1"], 1,
+         None),
+        (["bogus"], 1, None),
+        (decide, 2, ("verify_decision", lambda dec: False)),
+        (decide, KeyError, ("decide_untwisted", decide_and_raise)),
+    ]
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    try:
+        for argv, code, patch in exits:
+            with monkeypatch.context() as m:
+                if patch:
+                    m.setattr(cli, *patch)
+                if code is KeyError:
+                    with pytest.raises(KeyError):
+                        cli.main(argv)
+                else:
+                    assert cli.main(argv) == code
+            assert sys.get_int_max_str_digits() == 5000, (argv, code)
+    finally:
+        sys.set_int_max_str_digits(before)
+    # lifted while the command ran
+    assert during == [0]
+    capsys.readouterr()
 
 
 def test_search_loop_past_sys_maxsize_is_refused(capsys):

@@ -2,9 +2,10 @@
 answer (exit 0, or 2 on a failed re-check) or exits 1 with one `error:`
 line and nothing on stdout, with no traceback and in bounded time.
 
-Values are drawn small, negative, zero, malformed and past each declared
-limit, never in the range a limit allows but the README calls slow (a
-cold `bpn` near the genus limit takes about 50 s).
+Values are drawn small, negative, zero, malformed, of 4300 digits (the
+most an input may have) and past each declared limit, never in the range
+a limit allows but the README calls slow (a cold `bpn` near the genus
+limit takes about 50 s).
 """
 
 from __future__ import annotations
@@ -22,11 +23,13 @@ from bnloci.regions import StabilityKind
 from timing import time_limit
 
 MALFORMED = ["", "x", "1.5", "--", "3,", "1/0", "nan", "1e9999999", " "]
+# an int of 4300 digits, the most argparse's int() reads
+LONGEST = 10**4299
 PAST_LIMITS = [cli.MAX_GENUS + 1, cli.MAX_PLOT_SAMPLES + 1, cli.MAX_SELFTEST_TRIALS + 1,
-               cli.MAX_ENUMERATE_DEGREES + 1, 10**12, -10**12, 10**30]
+               cli.MAX_ENUMERATE_DEGREES + 1, 10**12, -10**12, 10**30, LONGEST, -LONGEST]
 
 GENUS = st.integers(2, 12).map(str)
-INT = st.integers(-3, 12).map(str)
+INT = st.sampled_from([*range(-3, 13), LONGEST]).map(str)
 RATIONAL = st.one_of(
     st.builds(lambda p, q: f"{p}/{q}", st.integers(-20, 40), st.integers(1, 8)),
     st.sampled_from(["3", "2.5", "1e2", "1e-3", "5e99", "1e-99999999"]))
@@ -76,7 +79,7 @@ LAST = {"selftest": {"trials": st.sampled_from(
 def _bad(flag: str) -> st.SearchStrategy[str]:
     # a genus between 12 and cli.MAX_GENUS is allowed but its region tables
     # take seconds, so only genera past the limit are drawn
-    past = [-3, 0, 1, cli.MAX_GENUS + 1, 10**30] if flag == "genus" else PAST_LIMITS
+    past = [-3, 0, 1, cli.MAX_GENUS + 1, 10**30, LONGEST] if flag == "genus" else PAST_LIMITS
     return st.sampled_from(MALFORMED + [str(v) for v in past] + ["other"])
 
 

@@ -301,6 +301,20 @@ def test_universal_line_bundle_reduction():
     assert verify_decision(dec)
 
 
+def test_line_bundle_reduction_of_two_moving_ranks_fails_verification():
+    # the reduced data is the tensor problem and the inner certificates
+    # are about it; only the rank-one premise fails
+    cert = decide_universal(UniversalProblem(4, 1, 2, 2, 3, 2), ANY, STABLE).certificates[0]
+    p = UniversalProblem(4, 2, 1, 2, 2, 2)
+    reduced = tensor_problem(p.g, p.n1, p.d1, p.n2, p.d2, p.k)
+    inner = decide_untwisted(reduced, ANY, STABLE)
+    assert inner.status is Status.NONEMPTY
+    params = {"problem": _universal_params(p), "reduced": _problem_params(reduced),
+              "inner": list(inner.certificates)}
+    assert not verify_certificate(replace(cert, params=params))
+    assert _certify(RULE_LINE_REDUCTION, params) is None
+
+
 def test_universal_trivial_and_unknown():
     trivial = decide_universal(UniversalProblem(5, 2, 3, 2, 3, 0), ANY, STABLE)
     assert trivial.status is Status.NONEMPTY

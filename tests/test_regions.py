@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bnloci.bncore import beta_untwisted, serre_dual_point, slope_point
+from bnloci.bncore import SlopePoint, beta_untwisted, serre_dual_point
 from bnloci.regions import (
     EXCLUSION_BMNO_ETA_HAT,
     EXCLUSION_BMNO_ETA_HAT_PLUS_ONE,
@@ -218,7 +218,7 @@ def test_bmno_is_serre_symmetric(g, mu, lam):
     # the top inequality lam <= f_g(mu) is exactly preserved by the
     # reflection; the lam > 0 window is not, and duals falling below it
     # are the trivial section-free cases handled upstream
-    pt = slope_point(mu, lam)
+    pt = SlopePoint(mu, lam)
     dual = serre_dual_point(g, pt)
     if not (0 <= pt.mu <= 2 * g - 2):
         return
