@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from math import isqrt
 from typing import Any, Callable, Iterator, NamedTuple, Optional
 
@@ -46,8 +45,7 @@ from .bncore import (
     tensor_problem,
     universal_serre_dual,
 )
-from .exactq import rat_ceil
-from .regions import StabilityKind, membership_BMNO, membership_T
+from .regions import StabilityKind, membership, point_text
 
 
 class CurveClass(Enum):
@@ -375,13 +373,12 @@ def _hyperelliptic(params: dict) -> Optional[Verdict]:
 def _region_t(params: dict) -> Optional[Verdict]:
     g, n, d, k = params["g"], params["n"], params["d"], params["k"]
     kind = StabilityKind(params["kind"])
-    mu, lam = Fraction(d, n), Fraction(k, n)
-    v = membership_T(g, mu, lam, kind)
+    v = membership("T", g, d, n, k, n, kind)
     if not v.inside or v.excluded_for_stable:
         return None
     prem = [
-        Premise(f"({mu}, {lam}) lies in the staircase region (0 <= mu <= {2 * g - 2}, "
-                f"0 < lam <= t_g(mu))", v.inside),
+        Premise(f"{point_text(d, n, k, n)} lies in the staircase region "
+                f"(0 <= mu <= {2 * g - 2}, 0 < lam <= t_g(mu))", v.inside),
         Premise(f"rank {n} realizes integer invariants: n*mu = {d}, n*lam = {k}", True),
     ]
     if kind is StabilityKind.STABLE:
@@ -396,14 +393,11 @@ def _region_bmno(params: dict) -> Optional[Verdict]:
     nonhyp = implies_nonhyperelliptic(CurveClass(params["cc"]), g)
     if stable and not nonhyp:
         return None
-    mu, lam = Fraction(d, n), Fraction(k, n)
-    v = membership_BMNO(g, mu, lam, kind)
+    v = membership("BMNO", g, d, n, k, n, kind)
     if not v.inside or v.excluded_for_stable:
         return None
-    prem = [
-        Premise(f"({mu}, {lam}) lies in the sawtooth region (0 <= mu <= {2 * g - 2}, "
-                f"0 < lam <= f_g(mu))", v.inside),
-    ]
+    prem = [Premise(f"{point_text(d, n, k, n)} lies in the sawtooth region "
+                    f"(0 <= mu <= {2 * g - 2}, 0 < lam <= f_g(mu))", v.inside)]
     if stable:
         prem.append(Premise("point is not stable-excluded", not v.excluded_for_stable))
         prem.append(Premise("curve class implies non-hyperelliptic", nonhyp))
@@ -606,11 +600,18 @@ def _kernel(params: dict) -> Optional[Verdict]:
 
 Found = tuple[Conclusion, Certificate]
 Instantiate = Callable[[BNProblem, CurveClass, StabilityKind], Optional[dict]]
+Judge = Callable[[dict], Optional[Verdict]]
+
+
+def _untwisted(judge: Judge) -> Judge:
+    """The judge of an untwisted rule, None before any premise is formatted
+    unless the parameters name a BNProblem: genus >= 2 and rank >= 1."""
+    return lambda params: None if params["g"] < 2 or params["n"] < 1 else judge(params)
 
 
 class Rule(NamedTuple):
     name: str
-    judge: Callable[[dict], Optional[Verdict]]
+    judge: Judge
     # the parameters tried for an untwisted problem, None where the rule is
     # not tried; only the Serre-dual row, which overrides apply, has none
     instantiate: Optional[Instantiate] = None
@@ -665,20 +666,22 @@ def _on_slope_two(p: BNProblem, cc: CurveClass, kind: StabilityKind) -> Optional
 RULES: tuple[Rule, ...] = (
     Rule(RULE_TRIVIAL, _trivial, lambda p, cc, kind: {"k": p.k} if p.k <= 0 else None,
          dual=True),
-    Rule(RULE_PETRI, _petri,
+    Rule(RULE_PETRI, _untwisted(_petri),
          lambda p, cc, kind: _problem_params(p, cc=cc.value) if p.n == 1 else None),
-    Rule(RULE_SMALL_SLOPE, _small_slope,
+    Rule(RULE_SMALL_SLOPE, _untwisted(_small_slope),
          lambda p, cc, kind: _problem_params(p, kind=kind.value, route="interior")
          if p.n >= 2 and 0 < p.d < 2 * p.n else None, dual=True),
-    Rule(RULE_SMALL_SLOPE, _small_slope, _slope_two_params, dual=True, stable=True),
-    Rule(RULE_HYPERELLIPTIC, _hyperelliptic, _on_slope_two, dual=True, stable=True),
-    Rule(RULE_CANONICAL, _canonical, _on_slope_two, dual=True),
-    Rule(RULE_REGION_T, _region_t,
+    Rule(RULE_SMALL_SLOPE, _untwisted(_small_slope), _slope_two_params, dual=True,
+         stable=True),
+    Rule(RULE_HYPERELLIPTIC, _untwisted(_hyperelliptic), _on_slope_two, dual=True,
+         stable=True),
+    Rule(RULE_CANONICAL, _untwisted(_canonical), _on_slope_two, dual=True),
+    Rule(RULE_REGION_T, _untwisted(_region_t),
          lambda p, cc, kind: _problem_params(p, kind=kind.value), dual=True),
-    Rule(RULE_REGION_BMNO, _region_bmno,
+    Rule(RULE_REGION_BMNO, _untwisted(_region_bmno),
          lambda p, cc, kind: _problem_params(p, kind=kind.value, cc=cc.value), dual=True),
     _SerreDualRule(RULE_SERRE_DUAL_OF, _serre_dual_of),
-    Rule(RULE_KNOWN_EMPTY, _known_empty,
+    Rule(RULE_KNOWN_EMPTY, _untwisted(_known_empty),
          lambda p, cc, kind: _problem_params(p, kind=kind.value)
          if (p.g, p.n, p.d, p.k) in KNOWN_EMPTY_TABLE else None),
 )
@@ -827,11 +830,10 @@ def _product_candidates(q: UniversalProblem, cc: CurveClass,
                         kind: StabilityKind) -> Iterator[Candidate]:
     """Product candidates for q in search order, those whose premises
     outside the factor loci hold."""
-    mu1 = Fraction(q.d1, q.n1)
-    # the shifts put mu1 - ell in (0, 2), or at 2 for an integer mu1 on a
-    # curve known to be non-hyperelliptic
-    base = rat_ceil(mu1)
-    lo = base - (2 if mu1.denominator != 1 or implies_nonhyperelliptic(cc, q.g) else 1)
+    # the shifts put d1/n1 - ell in (0, 2), or at 2 for an integer d1/n1 on
+    # a curve known to be non-hyperelliptic
+    base = -(-q.d1 // q.n1)
+    lo = base - (2 if q.d1 % q.n1 or implies_nonhyperelliptic(cc, q.g) else 1)
     shifts = []
     for ell in range(lo, base):
         shifted = shift_line_bundle(q, ell)
@@ -870,10 +872,10 @@ def _kernel_candidates(q: UniversalProblem, cc: CurveClass,
     if (d - q.n2) % q.g != 0:
         return
     n = (d - q.n2) // q.g
-    denom = d - n * (q.g - 1)
     if not _holds(kernel_premises(q.g, n, d, q.n2, q.d2, cc, kind)):
         return
-    lo = max(q.n1 + 1, q.n1 + rat_ceil(Fraction(q.k + n * q.d1, denom)))
+    # the twist window d >= 2ng makes d - n(g-1) positive
+    lo = q.n1 + max(1, -(-(q.k + n * q.d1) // (d - n * (q.g - 1))))
     hi = q.n1 + max(q.d1, 0)
     bu = beta_universal(q.g, q.n1, q.d1, q.n2, q.d2, q.k)
     for k1 in _bounded(range(lo, hi + 1), "kernel base section counts"):
@@ -891,12 +893,10 @@ def _kernel_candidates(q: UniversalProblem, cc: CurveClass,
 
 def _try_scaling(q: UniversalProblem, cc: CurveClass,
                  kind: StabilityKind) -> Optional[Certificate]:
-    if kind is StabilityKind.STABLE:
-        d0 = (q.d1 - 1) // q.n1
-    else:
-        d0 = q.d1 // q.n1
+    # the largest seed degree with n1*d0 < d1 (stable) or n1*d0 <= d1
+    d0 = (q.d1 - 1 if kind is StabilityKind.STABLE else q.d1) // q.n1
     chi0 = chi_pairing(q.g, 1, d0, q.n2, q.d2)
-    lo = max(1, rat_ceil(Fraction(q.k, q.n1)))
+    lo = max(1, -(-q.k // q.n1))
     for k0 in _bounded(range(lo, chi0 + q.g), "scaling seed section counts"):
         if beta_twisted(q.g, 1, d0, k0, q.n2, q.d2) >= 1:
             # every other premise is the same for all k0 >= lo: this seed decides

@@ -8,9 +8,11 @@ Two piecewise-affine upper envelopes are tabulated per genus:
   ray works.
 
 Both are exact piecewise functions over Q, given by their breakpoints,
-their values there and one affine piece per open gap; membership tests
-also report the stable-case exclusions, which remove isolated points or
-segments from the semistable statement.
+their values there and one affine piece per open gap; the tables stay
+Fractions.  Membership compares on integers: it reads a point (p/q, a/b)
+against the warm table by cross-multiplication, since every breakpoint
+is an integer, and reports the stable-case exclusions, which remove
+isolated points or segments from the semistable statement.
 """
 
 from __future__ import annotations
@@ -21,10 +23,11 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Optional, Union
+from operator import attrgetter
+from typing import Optional, Union
 
 from .bncore import _require_genus
-from .exactq import PiecewiseFn, Rational, RationalLike, as_rational, rat_ceil
+from .exactq import PiecewiseFn, Rational, RationalLike, as_rational
 
 EXCLUSION_T_GAP = "t-gap-family"
 EXCLUSION_BMNO_ETA_HAT = "bmno-eta-hat"
@@ -151,29 +154,87 @@ def fg_eval(g: int, mu: RationalLike) -> Fraction:
     return fg_piecewise(g)(as_rational(mu))
 
 
-def _membership(g: int, mu: RationalLike, lam: RationalLike, kind: StabilityKind,
-                top: Callable[[int, Fraction], Fraction],
-                exclusion: Callable[[int, Fraction, Fraction], Optional[str]]
-                ) -> RegionVerdict:
-    # inside means 0 <= mu <= 2g-2 and 0 < lam <= top(g, mu); the stable
-    # locus also loses the points the family's exclusion rule names
-    mu, lam = as_rational(mu), as_rational(lam)
-    if not (0 <= mu <= 2 * (g - 1) and lam > 0):
-        return RegionVerdict(inside=False)
-    lam_top = top(g, mu)
-    if lam > lam_top:
-        return RegionVerdict(inside=False)
-    reason = exclusion(g, mu, lam) if kind is StabilityKind.STABLE else None
-    return RegionVerdict(inside=True, on_boundary=(lam == lam_top),
+def _t_exclusion(g: int, m: int, a: int, b: int) -> Optional[str]:
+    # the point (m, a/b) on an integer column
+    s = -(-a // b)
+    if m != eta_hat_prime(g, s) + 1:
+        return None
+    return EXCLUSION_T_GAP if m != eta_hat_prime(g, s + 1) else None
+
+
+def _bmno_spike_excluded(g: int, m: int, a: int, b: int) -> bool:
+    # the spike column m = eta(s) <= g-1 loses its top above the incoming
+    # ramp level (s-1)/g + s-1; eta strictly increases in s, so its s is
+    # found by bisection
+    if m > g - 1:
+        return False
+    s_max = math.isqrt(g)
+    s = 1 + bisect_left(range(1, s_max + 1), m, key=lambda i: eta_hat(g, i))
+    if s > s_max or eta_hat(g, s) != m:
+        return False
+    return a * g > b * (s - 1) * (g + 1)
+
+
+def _bmno_exclusion(g: int, m: int, a: int, b: int) -> Optional[str]:
+    if _bmno_spike_excluded(g, m, a, b):
+        return EXCLUSION_BMNO_ETA_HAT
+    # the Serre reflection (2g-2-m, a/b - m + g-1) of the point, still in
+    # 0 <= mu <= 2g-2 and on an integer column
+    if _bmno_spike_excluded(g, 2 * (g - 1) - m, a + (g - 1 - m) * b, b):
+        return EXCLUSION_SERRE_DUAL
+    if a % b == 0 and m == eta_hat(g, a // b) + 1:
+        return EXCLUSION_BMNO_ETA_HAT_PLUS_ONE
+    return None
+
+
+# each region's table and stable-case exclusion rule, by the names that
+# region_polyline uses
+_REGIONS = {"T": (tg_piecewise, _t_exclusion), "BMNO": (fg_piecewise, _bmno_exclusion)}
+_OUTSIDE = RegionVerdict(inside=False)
+# an integer breakpoint is its numerator
+_NUMERATOR = attrgetter("numerator")
+
+
+def membership(region: str, g: int, p: int, q: int, a: int, b: int,
+               kind: StabilityKind) -> RegionVerdict:
+    """Membership of (mu, lam) = (p/q, a/b) in the region "T" or "BMNO".
+
+    q and b are positive, and neither fraction need be reduced.  Inside
+    means 0 <= mu <= 2g-2 and 0 < lam <= top(mu); the stable locus also
+    loses the points the region's exclusion rule names, all of them on
+    integer columns of mu.  Every breakpoint of both tables is an integer,
+    so ceil(mu) finds the breakpoint or the gap of mu, and lam is compared
+    with the value there by cross-multiplication, with no Fraction built.
+    """
+    table, exclusion = _REGIONS[region]
+    if not (0 <= p <= 2 * (g - 1) * q and a > 0):
+        return _OUTSIDE
+    fn = table(g)
+    c = -(-p // q)
+    i = bisect_left(fn.breaks, c, key=_NUMERATOR)
+    if p == c * q and fn.breaks[i].numerator == c:
+        top = fn.values[i]
+        lhs, rhs = a * top.denominator, b * top.numerator
+    else:
+        # lam <= (sn/sd)*(p/q) + tn/td, over the positive denominators
+        slope, intercept = fn.pieces[i - 1]
+        sn, sd = slope.numerator, slope.denominator
+        tn, td = intercept.numerator, intercept.denominator
+        lhs, rhs = a * sd * td * q, b * (sn * td * p + tn * sd * q)
+    if lhs > rhs:
+        return _OUTSIDE
+    reason = (exclusion(g, p // q, a, b)
+              if kind is StabilityKind.STABLE and p % q == 0 else None)
+    return RegionVerdict(inside=True, on_boundary=(lhs == rhs),
                          excluded_for_stable=reason is not None,
                          exclusion_reason=reason)
 
 
-def _t_exclusion(g: int, mu: Fraction, lam: Fraction) -> Optional[str]:
-    s = rat_ceil(lam)
-    if mu.denominator != 1 or mu != eta_hat_prime(g, s) + 1:
-        return None
-    return EXCLUSION_T_GAP if mu != eta_hat_prime(g, s + 1) else None
+def _membership(region: str, g: int, mu: RationalLike, lam: RationalLike,
+                kind: StabilityKind) -> RegionVerdict:
+    mu, lam = as_rational(mu), as_rational(lam)
+    return membership(region, g, mu.numerator, mu.denominator,
+                      lam.numerator, lam.denominator, kind)
 
 
 def membership_T(g: int, mu: RationalLike, lam: RationalLike,
@@ -186,30 +247,7 @@ def membership_T(g: int, mu: RationalLike, lam: RationalLike,
     On the right end the rank-one count beta(1, mu+1, s+1) is at least 1
     by the definition of eta', so no count condition removes a point there.
     """
-    return _membership(g, mu, lam, kind, tg_eval, _t_exclusion)
-
-
-def _bmno_spike_excluded(g: int, mu: Fraction, lam: Fraction) -> bool:
-    # the spike column mu = eta(s) <= g-1 loses its top above the incoming
-    # ramp level; eta strictly increases in s, so its s is found by bisection
-    if mu.denominator != 1 or mu > g - 1:
-        return False
-    s_max = math.isqrt(g)
-    s = 1 + bisect_left(range(1, s_max + 1), mu, key=lambda i: eta_hat(g, i))
-    if s > s_max or eta_hat(g, s) != mu:
-        return False
-    return lam > Fraction(s - 1, g) + (s - 1)
-
-
-def _bmno_exclusion(g: int, mu: Fraction, lam: Fraction) -> Optional[str]:
-    if _bmno_spike_excluded(g, mu, lam):
-        return EXCLUSION_BMNO_ETA_HAT
-    # the Serre reflection of the point, still in 0 <= mu <= 2g-2
-    if _bmno_spike_excluded(g, 2 * (g - 1) - mu, lam - mu + (g - 1)):
-        return EXCLUSION_SERRE_DUAL
-    if lam.denominator == 1 and mu == eta_hat(g, int(lam)) + 1:
-        return EXCLUSION_BMNO_ETA_HAT_PLUS_ONE
-    return None
+    return _membership("T", g, mu, lam, kind)
 
 
 def membership_BMNO(g: int, mu: RationalLike, lam: RationalLike,
@@ -221,7 +259,17 @@ def membership_BMNO(g: int, mu: RationalLike, lam: RationalLike,
     the incoming ramp level, the Serre duals of those, and the isolated
     integer points one step past each spike at integer height.
     """
-    return _membership(g, mu, lam, kind, fg_eval, _bmno_exclusion)
+    return _membership("BMNO", g, mu, lam, kind)
+
+
+def _ratio_text(p: int, q: int) -> str:
+    c = math.gcd(p, q)
+    return str(p // c) if q == c else f"{p // c}/{q // c}"
+
+
+def point_text(p: int, q: int, a: int, b: int) -> str:
+    """The point (p/q, a/b), q and b positive, as its two Fractions print."""
+    return f"({_ratio_text(p, q)}, {_ratio_text(a, b)})"
 
 
 RegionPoint = tuple[Union[Fraction, float], Union[Fraction, float]]

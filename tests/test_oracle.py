@@ -683,6 +683,62 @@ def test_kernel_search_ends_at_a_failed_first_frame():
 
 
 # ---------------------------------------------------------------------------
+# exact integers on the decision path
+
+
+def _fractions_built(run) -> int:
+    """How many Fractions run() constructs: the calls of Fraction.__new__,
+    and of the constructor that Fraction arithmetic uses from Python 3.12."""
+    codes = {Q.__new__.__code__}
+    if hasattr(Q, "_from_coprime_ints"):
+        codes.add(Q._from_coprime_ints.__func__.__code__)
+    built = 0
+
+    def profile(frame, event, arg):
+        nonlocal built
+        if event == "call" and frame.f_code in codes:
+            built += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(previous)
+    return built
+
+
+def test_warm_decisions_and_verification_build_no_fraction():
+    untwisted = [BNProblem(g, n, d, k) for g in (2, 3, 5) for n in (1, 2, 3)
+                 for d in range(-2 * n, 2 * n * (g - 1) + 3 * n)
+                 for k in range(0, n * (g + 1) + 2)]
+    universal = [UniversalProblem(3, 2, d1, 2, d2, k) for d1 in range(-4, 13, 2)
+                 for d2 in range(-12, 13, 4) for k in (1, 2, 4)]
+    # reaching the kernel construction, on the swapped presentation too
+    universal += [UniversalProblem(3, 2, 6, 3, -6, 2), UniversalProblem(3, 3, -6, 2, 6, 2),
+                  UniversalProblem(4, 2, 11, 7, -11, 21)]
+
+    def decide_all():
+        decisions = [decide_untwisted(p, cc, kind) for p in untwisted
+                     for cc in (ANY, PETRI) for kind in (STABLE, SEMI)]
+        decisions += [decide_universal(p, ANY, kind) for p in universal
+                      for kind in (STABLE, SEMI)]
+        assert all(map(verify_decision, decisions))
+        return decisions
+
+    def rules_in(certs) -> set[str]:
+        return {c.rule for c in certs}.union(
+            *(rules_in(c.params.get("inner", ())) for c in certs))
+
+    decisions = decide_all()  # builds the region tables of every genus
+    found = rules_in([c for d in decisions for c in d.certificates])
+    assert {"RegionT", "RegionBMNO", RULE_PRODUCT, RULE_KERNEL, "TwistedScaling",
+            RULE_SWAPPED_OF, RULE_SERRE_DUAL_OF} <= found
+    assert _fractions_built(decide_all) == 0
+    assert _fractions_built(lambda: Q(1, 2) + 1) > 0
+
+
+# ---------------------------------------------------------------------------
 # certificate soundness
 
 
@@ -693,6 +749,51 @@ def test_verify_rejects_tampered_premise():
                    + (replace(cert.premises[-1], holds=False),))
     assert verify_certificate(cert)
     assert not verify_certificate(bent)
+
+
+# certificates the untwisted judges built, before they refused parameters
+# naming no BNProblem, for a genus below 2 or a rank below 1: every premise
+# holds, yet no such locus exists
+FORGED_UNTWISTED = [
+    Certificate("SmallSlope", {"g": 1, "n": 2, "d": 1, "k": 1, "kind": "stable",
+                               "route": "interior"}, (
+        Premise("n = 2 >= 2", True), Premise("0 < d = 1 < 2n = 4", True),
+        Premise("d = 1 >= n + g*(k - n) = 1", True),
+        Premise("(d, k) = (1, 1) != (n, n)", True))),
+    Certificate("SmallSlope", {"g": -3, "n": 2, "d": 1, "k": 2, "kind": "stable",
+                               "route": "interior"}, (
+        Premise("n = 2 >= 2", True), Premise("0 < d = 1 < 2n = 4", True),
+        Premise("d = 1 < n + g*(k - n) = 2 (locus empty)", True))),
+    Certificate("HyperellipticSlopeTwo", {"g": 1, "n": 2, "d": 4, "k": 1,
+                                          "cc": "hyperelliptic"}, (
+        Premise("n = 2 >= 2", True), Premise("d = 4 == 2n", True),
+        Premise("curve class forces hyperelliptic", True),
+        Premise("k = 1 <= n = 2", True))),
+    Certificate("RegionT", {"g": 7, "n": -2, "d": -9, "k": -3, "kind": "stable"}, (
+        Premise("(9/2, 3/2) lies in the staircase region (0 <= mu <= 12, "
+                "0 < lam <= t_g(mu))", True),
+        Premise("rank -2 realizes integer invariants: n*mu = -9, n*lam = -3", True),
+        Premise("point is not stable-excluded", True))),
+    Certificate("RegionBMNO", {"g": 7, "n": -1, "d": -1, "k": -1, "kind": "semistable",
+                               "cc": "any"}, (
+        Premise("(1, 1) lies in the sawtooth region (0 <= mu <= 12, "
+                "0 < lam <= f_g(mu))", True),)),
+    Certificate("CanonicalDualSpan", {"g": 1, "n": 0, "d": 0, "k": 1,
+                                      "cc": "nonhyperelliptic"}, (
+        Premise("(n, d, k) = (0, 0, 1) == (g-1, 2g-2, g) = (0, 0, 1)", True),
+        Premise("curve class implies non-hyperelliptic", True))),
+]
+
+
+@pytest.mark.parametrize("cert", FORGED_UNTWISTED,
+                         ids=[f"{c.rule}-g{c.params['g']}" for c in FORGED_UNTWISTED])
+def test_untwisted_certificate_of_no_bn_problem_fails_verification(cert):
+    p = cert.params
+    with pytest.raises(ValueError):
+        BNProblem(p["g"], p["n"], p["d"], p["k"])
+    assert _certify(cert.rule, p) is None
+    assert not verify_certificate(cert)
+    assert not verify_decision(Decision(Status.NONEMPTY, Scope.THIS_RANK, 0, (cert,)))
 
 
 def test_verify_rejects_tampered_params():

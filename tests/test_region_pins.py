@@ -61,3 +61,10 @@ def test_region_tops_match_pins(g):
 @pytest.mark.parametrize("g", BPN_GENERA)
 def test_bpn_winners_match_pins(g):
     assert bpn_digest(g) == PINS["bpn"][str(g)]
+
+
+def test_every_breakpoint_of_both_tops_is_an_integer():
+    # regions.membership finds a slope's breakpoint or gap from its ceiling
+    for g in TOP_GENERA:
+        for fn in (tg_piecewise(g), fg_piecewise(g)):
+            assert all(x.denominator == 1 for x in fn.breaks), g

@@ -1,24 +1,31 @@
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from fractions import Fraction as Q
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bnloci.bncore import SlopePoint, beta_untwisted, serre_dual_point
+from bnloci.exactq import as_rational
 from bnloci.regions import (
     EXCLUSION_BMNO_ETA_HAT,
     EXCLUSION_BMNO_ETA_HAT_PLUS_ONE,
     EXCLUSION_SERRE_DUAL,
     EXCLUSION_T_GAP,
+    RegionVerdict,
     StabilityKind,
     eta_hat,
     eta_hat_prime,
     fg_eval,
     fg_piecewise,
+    membership,
     membership_BMNO,
     membership_T,
+    point_text,
     region_polyline,
     tg_eval,
     tg_piecewise,
@@ -194,6 +201,101 @@ def test_membership_handles_unreduced_inputs():
     a = membership_T(10, "13/2", "3/2", SEMI)
     b = membership_T(10, Q(26, 4), Q(6, 4), SEMI)
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# the Fraction membership body that the integer one replaced, kept as its
+# reference: every comparison and exclusion on Fractions, the top read by
+# evaluating the table at mu
+
+
+def _ref_t_exclusion(g, mu, lam):
+    s = math.ceil(lam)
+    if mu.denominator != 1 or mu != eta_hat_prime(g, s) + 1:
+        return None
+    return EXCLUSION_T_GAP if mu != eta_hat_prime(g, s + 1) else None
+
+
+def _ref_bmno_spike_excluded(g, mu, lam):
+    if mu.denominator != 1 or mu > g - 1:
+        return False
+    s_max = math.isqrt(g)
+    s = 1 + bisect_left(range(1, s_max + 1), mu, key=lambda i: eta_hat(g, i))
+    if s > s_max or eta_hat(g, s) != mu:
+        return False
+    return lam > Q(s - 1, g) + (s - 1)
+
+
+def _ref_bmno_exclusion(g, mu, lam):
+    if _ref_bmno_spike_excluded(g, mu, lam):
+        return EXCLUSION_BMNO_ETA_HAT
+    if _ref_bmno_spike_excluded(g, 2 * (g - 1) - mu, lam - mu + (g - 1)):
+        return EXCLUSION_SERRE_DUAL
+    if lam.denominator == 1 and mu == eta_hat(g, int(lam)) + 1:
+        return EXCLUSION_BMNO_ETA_HAT_PLUS_ONE
+    return None
+
+
+_REF = {"T": (tg_eval, _ref_t_exclusion), "BMNO": (fg_eval, _ref_bmno_exclusion)}
+
+
+@lru_cache(maxsize=4096)
+def _ref_top(region, g, mu):
+    # a grid sweep asks each top at one mu for many lam in a row
+    return _REF[region][0](g, mu)
+
+
+def _ref_membership(region, g, mu, lam, kind):
+    exclusion = _REF[region][1]
+    mu, lam = as_rational(mu), as_rational(lam)
+    if not (0 <= mu <= 2 * (g - 1) and lam > 0):
+        return RegionVerdict(inside=False)
+    lam_top = _ref_top(region, g, mu)
+    if lam > lam_top:
+        return RegionVerdict(inside=False)
+    reason = exclusion(g, mu, lam) if kind is StabilityKind.STABLE else None
+    return RegionVerdict(inside=True, on_boundary=(lam == lam_top),
+                         excluded_for_stable=reason is not None,
+                         exclusion_reason=reason)
+
+
+def _grid(lo, hi, max_den):
+    """Every rational in [lo, hi] whose denominator is at most max_den."""
+    return sorted({Q(i, q) for q in range(1, max_den + 1) for i in range(lo * q, hi * q + 1)})
+
+
+@pytest.mark.parametrize("g", [*range(2, 13), 17, 30])
+def test_integer_membership_matches_the_fraction_reference_on_grids(g):
+    # mu on the 1/1..1/7 grids and lam on the 1/1..1/3 grids, one unit past
+    # the domain on every side; both regions and both kinds
+    lams = _grid(-1, g + 1, 3)
+    for mu in _grid(-1, 2 * g - 1, 7):
+        for lam in lams:
+            for region in ("T", "BMNO"):
+                for kind in StabilityKind:
+                    expect = _ref_membership(region, g, mu, lam, kind)
+                    got = membership(region, g, mu.numerator, mu.denominator,
+                                     lam.numerator, lam.denominator, kind)
+                    assert got == expect, (region, g, mu, lam, kind)
+
+
+@settings(max_examples=400)
+@given(st.sampled_from([*range(2, 13), 17, 30]), st.integers(-60, 120),
+       st.integers(1, 12), st.integers(-20, 60), st.integers(1, 5), st.integers(1, 5),
+       st.sampled_from(["T", "BMNO"]), st.sampled_from([STABLE, SEMI]))
+def test_integer_membership_of_unreduced_invariants(g, d, n, k, m1, m2, region, kind):
+    # the oracle's call (d, n, k, n) and both fractions scaled up, unreduced
+    expect = _ref_membership(region, g, Q(d, n), Q(k, n), kind)
+    assert membership(region, g, d, n, k, n, kind) == expect
+    assert membership(region, g, d * m1, n * m1, k * m2, n * m2, kind) == expect
+    assert point_text(d * m1, n * m1, k * m2, n * m2) == f"({Q(d, n)}, {Q(k, n)})"
+
+
+def test_membership_wrappers_take_numerator_and_denominator():
+    for mu, lam in ((Q(13, 2), Q(3, 2)), (7, Q(3, 2)), ("12", "21/5"), (1, 1)):
+        for kind in StabilityKind:
+            for region, fn in (("T", membership_T), ("BMNO", membership_BMNO)):
+                assert fn(10, mu, lam, kind) == _ref_membership(region, 10, mu, lam, kind)
 
 
 rational_mu = st.fractions(min_value=-2, max_value=20, max_denominator=10)
