@@ -9,16 +9,12 @@ Conventions used throughout the package:
   for k independent maps from its dual, equivalently sections of the tensor
   product; the universal variant lets both bundles move
 
-All quantities are exact: integers in, integers out, except slope-plane
-coordinates which are Fractions.
+All quantities are exact: integers in, integers out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-
-from .exactq import as_rational
 
 
 def _require_genus(g: int) -> None:
@@ -44,14 +40,6 @@ class BNProblem:
         _require_genus(self.g)
         _require_rank(self.n)
 
-    @property
-    def slope(self) -> Fraction:
-        return Fraction(self.d, self.n)
-
-    @property
-    def section_density(self) -> Fraction:
-        return Fraction(self.k, self.n)
-
 
 @dataclass(frozen=True)
 class UniversalProblem:
@@ -71,18 +59,6 @@ class UniversalProblem:
         _require_genus(self.g)
         _require_rank(self.n1)
         _require_rank(self.n2)
-
-
-@dataclass(frozen=True)
-class SlopePoint:
-    """A point (mu, lam) of the slope plane: slope and section density."""
-
-    mu: Fraction
-    lam: Fraction
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "mu", as_rational(self.mu))
-        object.__setattr__(self, "lam", as_rational(self.lam))
 
 
 def chi_pairing(g: int, n1: int, d1: int, n2: int, d2: int) -> int:
@@ -151,12 +127,6 @@ def serre_dual_problem(p: BNProblem) -> BNProblem:
     """
     g, n, d, k = p.g, p.n, p.d, p.k
     return BNProblem(g, n, 2 * n * (g - 1) - d, k - d + n * (g - 1))
-
-
-def serre_dual_point(g: int, pt: SlopePoint) -> SlopePoint:
-    """Slope-plane shadow of Serre duality: (mu, lam) -> (2g-2-mu, lam-mu+g-1)."""
-    _require_genus(g)
-    return SlopePoint(2 * (g - 1) - pt.mu, pt.lam - pt.mu + (g - 1))
 
 
 def universal_serre_dual(p: UniversalProblem) -> UniversalProblem:

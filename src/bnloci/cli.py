@@ -20,7 +20,6 @@ from typing import Any, Optional
 
 from .bncore import (
     BNProblem,
-    SlopePoint,
     UniversalProblem,
     _require_genus,
     beta_tensor,
@@ -29,7 +28,6 @@ from .bncore import (
     beta_untwisted,
     chi_pairing,
     moduli_dim,
-    serre_dual_point,
     tensor_problem,
 )
 from .construct import (
@@ -106,14 +104,6 @@ def _rank_degree_sections(text: str) -> tuple[int, ...]:
 
 def _int_range(text: str) -> tuple[int, ...]:
     return _int_tuple(text, 2, "low,high")
-
-
-def _curve(args: argparse.Namespace) -> CurveClass:
-    return CurveClass(args.curve)
-
-
-def _kind(args: argparse.Namespace) -> StabilityKind:
-    return StabilityKind(args.stability)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +222,7 @@ def _check_genus(g: int) -> None:
 def _cmd_decide(args: argparse.Namespace) -> tuple[str, bool]:
     g, k = args.genus, args.sections
     _check_genus(g)
-    cc, kind = _curve(args), _kind(args)
+    cc, kind = CurveClass(args.curve), StabilityKind(args.stability)
     if args.p1 is not None and args.p2 is not None:
         (n1, d1), (n2, d2) = args.p1, args.p2
         problem, decide = UniversalProblem(g, n1, d1, n2, d2, k), decide_universal
@@ -275,7 +265,7 @@ def _cmd_product(args: argparse.Namespace) -> tuple[str, bool]:
                          "(or --negativity with slope data)")
     _check_genus(g)
     (n1, d1, k1), (n2, d2, k2) = args.p1, args.p2
-    cc, kind = _curve(args), _kind(args)
+    cc, kind = CurveClass(args.curve), StabilityKind(args.stability)
     w = product_construct(g, BNProblem(g, n1, d1, k1), BNProblem(g, n2, d2, k2),
                           cc, kind)
     verified = verify_certificate(w.certificate)
@@ -302,7 +292,7 @@ def _cmd_kernel(args: argparse.Namespace) -> tuple[str, bool]:
     if args.base is None:
         raise ValueError("kernel needs --base as rank,degree,sections")
     n1, d1, k1 = args.base
-    cc = _curve(args)
+    cc = CurveClass(args.curve)
     if args.negativity:
         if args.family_e is None:
             raise ValueError("negativity scan needs --family-e")
@@ -321,7 +311,7 @@ def _cmd_kernel(args: argparse.Namespace) -> tuple[str, bool]:
         raise ValueError("kernel construction needs --twist and --sections "
                          "(or --negativity with --family-e)")
     _check_genus(g)
-    kind = _kind(args)
+    kind = StabilityKind(args.stability)
     w = kernel_construct(g, n1, d1, k1, args.gen_rank, args.twist, args.sections,
                          cc, kind)
     verified = verify_certificate(w.certificate)
@@ -452,8 +442,8 @@ def _excluded_markers(g: int) -> list[tuple[Fraction, Fraction, str]]:
                 continue
             for lam in (Fraction(s), tg_eval(g, mu), fg_eval(g, mu)):
                 candidates.append((mu, lam))
-                dual = serre_dual_point(g, SlopePoint(mu, lam))
-                candidates.append((dual.mu, dual.lam))
+                # and its Serre reflection
+                candidates.append((2 * (g - 1) - mu, lam - mu + g - 1))
     markers: dict[tuple[Fraction, Fraction], str] = {}
     for mu, lam in candidates:
         if not (0 < mu <= 2 * g - 2 and 0 < lam <= g):

@@ -14,7 +14,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, lcm
+from math import ceil, floor, isqrt, lcm
 from typing import Optional
 
 from .bncore import (
@@ -31,8 +31,6 @@ from .exactq import (
     RationalLike,
     as_rational,
     pw_max,
-    rat_ceil,
-    rat_floor,
 )
 from .regions import StabilityKind, fg_piecewise, fg_eval, tg_piecewise, tg_eval
 from . import oracle
@@ -133,7 +131,7 @@ class NegativityWitness:
 
 def _least_root(x: Rational) -> int:
     """The least m >= 1 with m*m >= x."""
-    m = isqrt(max(rat_ceil(x), 1))
+    m = isqrt(max(ceil(x), 1))
     return m if m * m >= x else m + 1
 
 
@@ -366,7 +364,7 @@ def grid_slopes(g: int, step: RationalLike) -> list[Rational]:
     step = as_rational(step)
     if step <= 0:
         raise ValueError(f"step must be positive, got {step}")
-    count = rat_floor((2 * g - 2) / step)
+    count = floor((2 * g - 2) / step)
     if count > MAX_GRID_SLOPES:
         raise ValueError(f"step {step} gives {count} grid slopes on "
                          f"(0, {2 * g - 2}], at most {MAX_GRID_SLOPES} allowed")
@@ -477,17 +475,17 @@ def kernel_construct(g: int, n1: int, d1: int, k1: int, n: int, d: int, k: int,
 
 
 def kernel_beta_quadratic(g: int, n1: int, d1: int, k1: int, n: int,
-                          e: Optional[int] = None) -> Quadratic:
+                          e: int) -> Quadratic:
     """Expected pair count along the kernel family, as a quadratic in d.
 
     The family fixes the base (n1, d1, k1) and generator rank n, letting
     the twist degree d vary; the demanded section count is k(d) = w*d - e
-    with w = k1 - n1, defaulting to the full budget e = n*(w*(g-1) + d1).
+    with w = k1 - n1; the full budget is e = n*(w*(g-1) + d1).
     """
+    if g < 2:
+        raise ConstructError(f"genus must be at least 2, got {g}")
     _check_kernel_base(n1, k1, n)
     w = k1 - n1
-    if e is None:
-        e = n * (w * (g - 1) + d1)
     c1 = d1 - n1 * g
     c0 = n * g * (n1 * (g - 1) - d1)
     a = (g - 1) - w * (w - c1)
@@ -535,7 +533,7 @@ def kernel_negativity_min_d(g: int, n1: int, d1: int, k1: int, n: int, e: int,
                              f"d1 < k1 + n1*(g-1) - (g-1)/(k1-n1) = {lead_cap}")
     window_start = 2 * n * g + (0 if oracle.implies_nonhyperelliptic(cc, g) else 1)
     start = max(window_start, e // w + 1)
-    stop = rat_ceil(Fraction(abs(quad.b) + abs(quad.c), abs(quad.a))) + 1
+    stop = ceil(Fraction(abs(quad.b) + abs(quad.c), abs(quad.a))) + 1
     d = start
     if quad(start) >= 0:
         # start lies between the roots, so the answer is the least integer
@@ -569,7 +567,7 @@ def c6_enumerate(g: int, n1: int, k1: int) -> list[int]:
         raise ConstructError(f"base rank must be at least 2, got {n1}")
     if not n1 < k1 <= n1 * (g - 1):
         raise ConstructError(f"need n1 < k1 <= n1*(g-1), got k1 = {k1}")
-    s = rat_ceil(Fraction(k1, n1))
+    s = ceil(Fraction(k1, n1))
     lo = k1 + n1 * (g - 1) - n1 * ((g - 1) // s)
     hi = k1 + n1 * (g - 1) - Fraction(g - 1, k1 - n1)
-    return [d1 for d1 in range(lo, rat_ceil(hi)) if d1 % n1 != 0]
+    return [d1 for d1 in range(lo, ceil(hi)) if d1 % n1 != 0]

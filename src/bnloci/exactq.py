@@ -2,17 +2,16 @@
 
 Everything downstream (Brill-Noether numbers, region tables, boundary
 maximisation) is computed over Q.  This module supplies the few exact
-primitives the rest of the package needs: floor/ceil on rationals,
-quadratics with exact coefficients, piecewise-affine functions given by
-their breakpoints, their values there and one affine piece per open gap,
-and their pointwise maximum.
+primitives the rest of the package needs: quadratics with exact
+coefficients, piecewise-affine functions given by their breakpoints,
+their values there and one affine piece per open gap, and their
+pointwise maximum.
 
 No floating point is used anywhere in this module.
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,14 +40,6 @@ def too_long(value: object) -> bool:
 def as_rational(x: RationalLike) -> Fraction:
     """Coerce ints, 'p/q' strings and Fractions to Fraction."""
     return x if isinstance(x, Fraction) else Fraction(x)
-
-
-def rat_floor(x: RationalLike) -> int:
-    return math.floor(as_rational(x))
-
-
-def rat_ceil(x: RationalLike) -> int:
-    return math.ceil(as_rational(x))
 
 
 @dataclass(frozen=True)

@@ -208,6 +208,8 @@ def membership(region: str, g: int, p: int, q: int, a: int, b: int,
     """
     table, exclusion = _REGIONS[region]
     if not (0 <= p <= 2 * (g - 1) * q and a > 0):
+        # the other branch's table(g) refuses the genus itself
+        _require_genus(g)
         return _OUTSIDE
     fn = table(g)
     c = -(-p // q)
@@ -307,10 +309,8 @@ def region_polyline(g: int, region: str, samples_per_unit: int) -> list[RegionPo
     """
     if samples_per_unit < 1:
         raise ValueError("samples_per_unit must be >= 1")
-    if region == "T":
-        return _piecewise_polyline(tg_piecewise(g), samples_per_unit)
-    if region == "BMNO":
-        return _piecewise_polyline(fg_piecewise(g), samples_per_unit)
+    if region in _REGIONS:
+        return _piecewise_polyline(_REGIONS[region][0](g), samples_per_unit)
     if region == "Clifford":
         return [(Fraction(0), Fraction(1)), (Fraction(2 * (g - 1)), Fraction(g))]
     if region == "BNCurve":

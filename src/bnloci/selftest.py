@@ -14,9 +14,9 @@ import random
 from fractions import Fraction as Q
 from typing import Callable
 
-from .bncore import (BNProblem, SlopePoint, UniversalProblem, beta_universal,
-                     beta_untwisted, chi_pairing, serre_dual_point, serre_dual_problem,
-                     shift_line_bundle, swap_factors, universal_serre_dual)
+from .bncore import (BNProblem, UniversalProblem, beta_universal, beta_untwisted,
+                     chi_pairing, serre_dual_problem, shift_line_bundle, swap_factors,
+                     universal_serre_dual)
 from .construct import (ConstructError, bpn_boundary, bpn_membership, bpn_new_points,
                         c6_enumerate, kernel_beta_quadratic, kernel_construct,
                         kernel_negativity_min_d, product_construct,
@@ -146,9 +146,9 @@ def duality_invariances(check: Check, rng: random.Random, trials: int) -> None:
         q = serre_dual_problem(BNProblem(g, n, d, k))
         check(beta_untwisted(g, q.n, q.d, q.k) == beta_untwisted(g, n, d, k),
               f"count moved under duality at {(g, n, d, k)}")
-        pt = SlopePoint(Q(d, n), Q(k, n))
-        check(serre_dual_point(g, serre_dual_point(g, pt)) == pt,
-              f"point reflection is not an involution at {(g, d, n, k)}")
+        mu, lam = Q(d, n), Q(k, n)
+        check((Q(q.d, q.n), Q(q.k, q.n)) == (2 * (g - 1) - mu, lam - mu + g - 1),
+              f"dual problem is off the reflected point at {(g, d, n, k)}")
         u = UniversalProblem(g, n, d, rng.randint(1, 10), rng.randint(-100, 100), k)
         chi = chi_pairing(g, u.n1, u.d1, u.n2, u.d2)
         beta = beta_universal(g, u.n1, u.d1, u.n2, u.d2, k)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from bnloci.bncore import (
     BNProblem,
-    SlopePoint,
     UniversalProblem,
     beta_tensor,
     beta_twisted,
@@ -16,7 +15,6 @@ from bnloci.bncore import (
     beta_untwisted,
     chi_pairing,
     moduli_dim,
-    serre_dual_point,
     serre_dual_problem,
     shift_line_bundle,
     swap_factors,
@@ -67,7 +65,7 @@ def test_beta_tensor_values():
 def test_tensor_problem_invariants():
     t = tensor_problem(5, 6, 11, 7, 12, 56)
     assert (t.n, t.d, t.k) == (42, 6 * 12 + 7 * 11, 56)
-    assert t.slope == Q(11, 6) + Q(12, 7)
+    assert Q(t.d, t.n) == Q(11, 6) + Q(12, 7)
     # with a rank-one factor it is the line-bundle twist of the other factor
     assert tensor_problem(4, 1, 2, 2, 3, 2) == BNProblem(4, 2, 3 + 2 * 2, 2)
     assert tensor_problem(4, 3, 5, 1, -2, 6) == BNProblem(4, 3, 5 + 3 * -2, 6)
@@ -80,8 +78,10 @@ def test_serre_dual_problem_values():
 
 
 def test_serre_dual_point_values():
-    pt = serre_dual_point(10, SlopePoint(Q(6), Q(6, 5)))
-    assert (pt.mu, pt.lam) == (Q(12), Q(21, 5))
+    # the point (6, 6/5) reflects to (12, 21/5)
+    q = serre_dual_problem(BNProblem(10, 5, 30, 6))
+    assert q == BNProblem(10, 5, 60, 21)
+    assert (Q(q.d, q.n), Q(q.k, q.n)) == (Q(12), Q(21, 5))
 
 
 def test_genus_and_rank_validation():
@@ -106,13 +106,16 @@ def test_serre_duality_is_beta_preserving_involution(g, n, d, k):
 @given(genera, st.fractions(min_value=-30, max_value=30, max_denominator=12),
        st.fractions(min_value=-30, max_value=30, max_denominator=12))
 def test_point_duality_matches_problem_duality(g, mu, lam):
-    pt = SlopePoint(mu, lam)
-    dual = serre_dual_point(g, pt)
-    assert serre_dual_point(g, dual) == pt
+    # the problem's point (d/n, k/n) moves by the reflection
+    # (mu, lam) -> (2g-2-mu, lam-mu+g-1), an involution
+    def reflect(mu, lam):
+        return 2 * (g - 1) - mu, lam - mu + g - 1
+
+    assert reflect(*reflect(mu, lam)) == (mu, lam)
     n = mu.denominator * lam.denominator
     p = BNProblem(g, n, mu.numerator * lam.denominator, lam.numerator * mu.denominator)
     q = serre_dual_problem(p)
-    assert SlopePoint(q.slope, q.section_density) == dual
+    assert (Q(q.d, q.n), Q(q.k, q.n)) == reflect(mu, lam)
 
 
 @given(genera, ranks, degrees, ranks, degrees, sections)

@@ -413,14 +413,18 @@ def test_out_writes_file(tmp_path, capsys):
 def test_selftest_passes(capsys):
     code, out = run(capsys, ["selftest", "--trials", "300"])
     assert code == 0
-    lines = out.splitlines()
-    assert [line.split(" (")[0] for line in lines[:-1]] == [
-        "ok 01 product threshold", "ok 02 boundary parabola", "ok 03 new point",
-        "ok 04 kernel family", "ok 05 threshold oracles", "ok 06 duality invariances",
-        "ok 07 degree counts", "ok 08 known and special cases",
-        "ok 09 small slope equivalence", "ok 10 certificate soundness"]
-    assert "ok 06 duality invariances (2100 checks)" in lines
-    assert lines[-1].startswith("selftest passed (")
+    assert out.splitlines() == [
+        "ok 01 product threshold (24 checks)",
+        "ok 02 boundary parabola (119 checks)",
+        "ok 03 new point (15 checks)",
+        "ok 04 kernel family (46 checks)",
+        "ok 05 threshold oracles (437 checks)",
+        "ok 06 duality invariances (2100 checks)",
+        "ok 07 degree counts (10 checks)",
+        "ok 08 known and special cases (97 checks)",
+        "ok 09 small slope equivalence (14399 checks)",
+        "ok 10 certificate soundness (28455 checks)",
+        "selftest passed (45702 checks)"]
     assert run(capsys, ["selftest", "--trials", "0"])[0] == 1
 
 
@@ -673,6 +677,8 @@ def test_argparse_failures_exit_one(capsys):
      "(or --rank-range with --section-offset)"),
     (["enumerate", "--genus", "1", "--rank", "2", "--sections", "3"],
      "error: genus must be at least 2, got 1"),
+    *((["kernel", "--genus", g, "--base", "2,1,4", "--negativity", "--family-e", "100"],
+       f"error: genus must be at least 2, got {g}") for g in ("1", "0", "-5")),
 ])
 def test_incomplete_or_malformed_input_exits_one_with_its_message(capsys, argv, message):
     assert cli.main(argv) == 1

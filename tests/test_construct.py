@@ -8,7 +8,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction as Q
 from functools import lru_cache
-from math import lcm
+from math import ceil, lcm
 from typing import Optional
 
 import pytest
@@ -44,7 +44,6 @@ from bnloci.exactq import (
     RationalLike,
     as_rational,
     pw_max,
-    rat_ceil,
     too_long,
 )
 from bnloci.oracle import (CurveClass, Decision, Scope, Status, verify_certificate,
@@ -568,14 +567,14 @@ def test_kernel_construct_rejections():
 
 
 def test_kernel_quadratic_coefficients():
-    quad = kernel_beta_quadratic(4, 2, 11, 6, 1)
+    quad = kernel_beta_quadratic(4, 2, 11, 6, 1, 23)
     assert (quad.a, quad.b, quad.c) == (-1, 11, -7)
     assert quad(9) == 11 and quad(10) == 3 and quad(11) == -7
 
 
 def test_kernel_quadratic_matches_universal_count():
     # the closed form tracks the pair count along the full-budget family
-    quad = kernel_beta_quadratic(4, 2, 11, 6, 1)
+    quad = kernel_beta_quadratic(4, 2, 11, 6, 1, 23)
     for d in range(9, 51):
         k = 4 * d - 23
         assert quad(d) == beta_universal(4, 2, 11, d - 4, -d, k)
@@ -602,7 +601,7 @@ def _ref_kernel_negativity_min_d(g, n1, d1, k1, n, e, cc=ANY) -> KernelNegativit
     quad = kernel_beta_quadratic(g, n1, d1, k1, n, e)
     window_start = 2 * n * g + (0 if oracle.implies_nonhyperelliptic(cc, g) else 1)
     start = max(window_start, e // w + 1)
-    stop = rat_ceil(Q(abs(quad.b) + abs(quad.c), abs(quad.a))) + 1
+    stop = ceil(Q(abs(quad.b) + abs(quad.c), abs(quad.a))) + 1
     for d in range(start, max(start, stop) + 1):
         val = quad(d)
         if val < 0:

@@ -11,27 +11,8 @@ from bnloci.exactq import (
     PiecewiseFn,
     Quadratic,
     pw_max,
-    rat_ceil,
-    rat_floor,
 )
 from bnloci.regions import fg_piecewise, tg_piecewise
-
-rationals = st.fractions(min_value=-50, max_value=50, max_denominator=40)
-
-
-def test_rat_floor_ceil_basics():
-    assert rat_floor(Q(7, 2)) == 3
-    assert rat_floor(Q(-7, 2)) == -4
-    assert rat_ceil(Q(7, 2)) == 4
-    assert rat_ceil(Q(-7, 2)) == -3
-    assert rat_floor(5) == rat_ceil(5) == 5
-
-
-@given(rationals)
-def test_floor_ceil_sandwich(x):
-    assert rat_floor(x) <= x <= rat_ceil(x)
-    assert x - rat_floor(x) < 1
-    assert rat_ceil(x) - x < 1
 
 
 def test_quadratic_eval_and_product():

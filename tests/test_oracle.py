@@ -9,6 +9,7 @@ import sys
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as Q
+from math import ceil
 from pathlib import Path
 from typing import Optional
 
@@ -31,7 +32,6 @@ from bnloci.bncore import (
     tensor_problem,
     universal_serre_dual,
 )
-from bnloci.exactq import rat_ceil
 from bnloci.oracle import (
     KNOWN_EMPTY_TABLE,
     RULE_KERNEL,
@@ -352,7 +352,7 @@ def _ref_try_product(q: UniversalProblem, cc: CurveClass,
     if q.n1 < 2 or q.n2 < 2:
         return None
     candidates: list[int] = []
-    base = rat_ceil(mu1)
+    base = ceil(mu1)
     for ell in (base - 2, base - 1):
         if 0 < mu1 - ell < 2:
             candidates.append(ell)
@@ -399,7 +399,7 @@ def _ref_try_kernel(q: UniversalProblem, cc: CurveClass,
     denom = d - n * (q.g - 1)
     if denom <= 0:
         return None
-    lo = max(q.n1 + 1, q.n1 + rat_ceil(Q(q.k + n * q.d1, denom)))
+    lo = max(q.n1 + 1, q.n1 + ceil(Q(q.k + n * q.d1, denom)))
     hi = q.n1 + max(q.d1, 0)
     bu = beta_universal(q.g, q.n1, q.d1, q.n2, q.d2, q.k)
     if kind is StabilityKind.STABLE:
@@ -462,7 +462,7 @@ def _ref_try_scaling(q: UniversalProblem, cc: CurveClass,
     else:
         d0 = q.d1 // q.n1
     chi0 = chi_pairing(q.g, 1, d0, q.n2, q.d2)
-    lo = max(1, rat_ceil(Q(q.k, q.n1)))
+    lo = max(1, ceil(Q(q.k, q.n1)))
     for k0 in range(lo, chi0 + q.g):
         if beta_twisted(q.g, 1, d0, k0, q.n2, q.d2) >= 1:
             dec = t1_twisted_decide(q.g, q.n1, q.d1, q.k, q.n2, q.d2, d0, k0, kind)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bnloci.bncore import SlopePoint, beta_untwisted, serre_dual_point
+from bnloci.bncore import beta_untwisted
 from bnloci.exactq import as_rational
 from bnloci.regions import (
     EXCLUSION_BMNO_ETA_HAT,
@@ -173,6 +173,18 @@ def test_membership_T_window():
     assert not membership_T(10, 4, Q(-1, 2), SEMI).inside
 
 
+@pytest.mark.parametrize("g, mu, lam", [(1, 0, 1), (1, 5, 1), (0, 0, 1), (-3, 0, 1)])
+def test_membership_refuses_genus_below_two(g, mu, lam):
+    # at g = 1 only mu = 0 lies in [0, 2g-2]; the other points take the
+    # branch that answers outside without building a table
+    for call in (lambda: membership("T", g, mu, 1, lam, 1, SEMI),
+                 lambda: membership("BMNO", g, mu, 1, lam, 1, SEMI),
+                 lambda: membership_T(g, mu, lam, STABLE),
+                 lambda: membership_BMNO(g, mu, lam, STABLE)):
+        with pytest.raises(ValueError, match=f"^genus must be >= 2, got {g}$"):
+            call()
+
+
 def test_membership_BMNO_examples():
     v = membership_BMNO(10, 3, Q(11, 10), SEMI)
     assert v.inside and v.on_boundary and not v.excluded_for_stable
@@ -320,14 +332,13 @@ def test_bmno_is_serre_symmetric(g, mu, lam):
     # the top inequality lam <= f_g(mu) is exactly preserved by the
     # reflection; the lam > 0 window is not, and duals falling below it
     # are the trivial section-free cases handled upstream
-    pt = SlopePoint(mu, lam)
-    dual = serre_dual_point(g, pt)
-    if not (0 <= pt.mu <= 2 * g - 2):
+    if not (0 <= mu <= 2 * g - 2):
         return
-    assert (pt.lam <= fg_eval(g, pt.mu)) == (dual.lam <= fg_eval(g, dual.mu))
-    if pt.lam > 0 and dual.lam > 0:
-        a = membership_BMNO(g, pt.mu, pt.lam, SEMI)
-        b = membership_BMNO(g, dual.mu, dual.lam, SEMI)
+    dual_mu, dual_lam = 2 * (g - 1) - mu, lam - mu + g - 1
+    assert (lam <= fg_eval(g, mu)) == (dual_lam <= fg_eval(g, dual_mu))
+    if lam > 0 and dual_lam > 0:
+        a = membership_BMNO(g, mu, lam, SEMI)
+        b = membership_BMNO(g, dual_mu, dual_lam, SEMI)
         assert a.inside == b.inside
 
 
